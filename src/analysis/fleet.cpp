@@ -71,60 +71,94 @@ FleetSummary SummarizeFleet(const collect::DataRepository& repo) {
   for (const collect::HomeInfo& info : repo.homes()) {
     max_id = std::max(max_id, info.id.value);
   }
-  std::vector<HomeAgg> agg(static_cast<std::size_t>(max_id + 1));
-  const auto slot = [&agg, max_id](collect::HomeId id) -> HomeAgg* {
+  // Heartbeat and device passes run concurrently, so each owns its slots.
+  std::vector<HomeAgg> hb_agg(static_cast<std::size_t>(max_id + 1));
+  std::vector<HomeAgg> dev_agg(hb_agg.size());
+  const auto slot = [max_id](std::vector<HomeAgg>& agg, collect::HomeId id) -> HomeAgg* {
     if (id.value < 0 || id.value > max_id) return nullptr;
     return &agg[static_cast<std::size_t>(id.value)];
   };
   const auto country = CountryByHomeId(repo, max_id);
   SeedCountries(repo, &out);
 
-  repo.for_each_row<collect::HeartbeatRun>([&](const collect::HeartbeatRun& run) {
-    if (HomeAgg* a = slot(run.home)) {
-      a->covered_ms += static_cast<double>((run.end - run.start).ms);
-      ++a->heartbeat_runs;
-    }
-  });
-  repo.for_each_row<collect::DeviceCountRecord>([&](const collect::DeviceCountRecord& rec) {
-    if (HomeAgg* a = slot(rec.home)) {
-      a->max_unique_devices = std::max(a->max_unique_devices, rec.unique_total);
-    }
-  });
-  repo.for_each_row<collect::CapacityRecord>([&](const collect::CapacityRecord& rec) {
-    out.capacity_down_mbps.add(rec.downstream.mbps());
-    out.capacity_up_mbps.add(rec.upstream.mbps());
-    if (rec.home.value >= 0 && rec.home.value <= max_id) {
-      if (const std::string* code = country[static_cast<std::size_t>(rec.home.value)]) {
-        CountryCapacity& cc = out.capacity_by_country[*code];
-        cc.down_mbps.add(rec.downstream.mbps());
-        cc.up_mbps.add(rec.upstream.mbps());
+  // One pass per data set. Each pass owns the sketches and slots it writes
+  // and feeds them its kind's rows in canonical order on whichever thread
+  // runs it, so the summary is identical at any worker count and to the
+  // resident repository's.
+  struct Pass {
+    std::size_t rows;
+    std::function<void()> run;
+  };
+  std::vector<Pass> passes;
+  passes.push_back({repo.row_count<collect::HeartbeatRun>(), [&] {
+    repo.for_each_row<collect::HeartbeatRun>([&](const collect::HeartbeatRun& run) {
+      if (HomeAgg* a = slot(hb_agg, run.home)) {
+        a->covered_ms += static_cast<double>((run.end - run.start).ms);
+        ++a->heartbeat_runs;
       }
-    }
-  });
-  repo.for_each_row<collect::WifiScanRecord>([&](const collect::WifiScanRecord& rec) {
-    out.visible_aps.add(static_cast<double>(rec.visible_aps));
-    out.associated_clients.add(static_cast<double>(rec.associated_clients));
-  });
-  repo.for_each_row<collect::ThroughputMinute>([&](const collect::ThroughputMinute& rec) {
-    out.throughput_down_mbps.add(rec.peak_down_bps / 1e6);
-  });
-  repo.for_each_row<collect::TrafficFlowRecord>([&](const collect::TrafficFlowRecord& rec) {
-    out.flow_kbytes.add(rec.total_bytes().kb());
-  });
+    });
+  }});
+  passes.push_back({repo.row_count<collect::DeviceCountRecord>(), [&] {
+    repo.for_each_row<collect::DeviceCountRecord>([&](const collect::DeviceCountRecord& rec) {
+      if (HomeAgg* a = slot(dev_agg, rec.home)) {
+        a->max_unique_devices = std::max(a->max_unique_devices, rec.unique_total);
+      }
+    });
+  }});
+  passes.push_back({repo.row_count<collect::CapacityRecord>(), [&] {
+    repo.for_each_row<collect::CapacityRecord>([&](const collect::CapacityRecord& rec) {
+      out.capacity_down_mbps.add(rec.downstream.mbps());
+      out.capacity_up_mbps.add(rec.upstream.mbps());
+      if (rec.home.value >= 0 && rec.home.value <= max_id) {
+        if (const std::string* code = country[static_cast<std::size_t>(rec.home.value)]) {
+          CountryCapacity& cc = out.capacity_by_country[*code];
+          cc.down_mbps.add(rec.downstream.mbps());
+          cc.up_mbps.add(rec.upstream.mbps());
+        }
+      }
+    });
+  }});
+  passes.push_back({repo.row_count<collect::WifiScanRecord>(), [&] {
+    repo.for_each_row<collect::WifiScanRecord>([&](const collect::WifiScanRecord& rec) {
+      out.visible_aps.add(static_cast<double>(rec.visible_aps));
+      out.associated_clients.add(static_cast<double>(rec.associated_clients));
+    });
+  }});
+  passes.push_back({repo.row_count<collect::ThroughputMinute>(), [&] {
+    repo.for_each_row<collect::ThroughputMinute>([&](const collect::ThroughputMinute& rec) {
+      out.throughput_down_mbps.add(rec.peak_down_bps / 1e6);
+    });
+  }});
+  passes.push_back({repo.row_count<collect::TrafficFlowRecord>(), [&] {
+    repo.for_each_row<collect::TrafficFlowRecord>([&](const collect::TrafficFlowRecord& rec) {
+      out.flow_kbytes.add(rec.total_bytes().kb());
+    });
+  }});
+
+  // A spilled repository streams every kind through its own k-way merge,
+  // so the passes run side by side on the spill's workers, largest kind
+  // first: it bounds the wall time and must not start last. A resident
+  // repository scans memory and stays on the calling thread.
+  std::stable_sort(passes.begin(), passes.end(),
+                   [](const Pass& a, const Pass& b) { return a.rows > b.rows; });
+  const std::size_t workers = repo.spilling() ? repo.spill()->config().workers : 1;
+  ThreadPool pool(static_cast<int>(std::min(workers, passes.size())));
+  pool.parallel_for(passes.size(), [&passes](std::size_t i, int) { passes[i].run(); });
 
   const Interval hb = repo.windows().heartbeats;
   const double window_ms = static_cast<double>((hb.end - hb.start).ms);
   const double window_days = window_ms / (24.0 * 3600.0 * 1000.0);
   for (const collect::HomeInfo& info : repo.homes()) {
-    const HomeAgg& a = agg[static_cast<std::size_t>(info.id.value)];
+    const HomeAgg& a = hb_agg[static_cast<std::size_t>(info.id.value)];
     if (info.reports_uptime && window_ms > 0.0) {
       out.availability_fraction.add(std::min(1.0, a.covered_ms / window_ms));
       if (a.heartbeat_runs > 0 && window_days > 0.0) {
         out.downtimes_per_day.add(static_cast<double>(a.heartbeat_runs - 1) / window_days);
       }
     }
-    if (info.reports_devices && a.max_unique_devices >= 0) {
-      out.unique_devices.add(static_cast<double>(a.max_unique_devices));
+    const int devices = dev_agg[static_cast<std::size_t>(info.id.value)].max_unique_devices;
+    if (info.reports_devices && devices >= 0) {
+      out.unique_devices.add(static_cast<double>(devices));
     }
   }
   return out;

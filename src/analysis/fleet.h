@@ -61,7 +61,10 @@ struct FleetSummary {
   std::map<std::string, CountryCapacity> capacity_by_country;
 };
 
-/// One streaming pass per data set over `repo` (resident or spilled).
+/// One streaming pass per data set over `repo` (resident or spilled). On a
+/// spilled repository the six passes run on a pool of the spill's own
+/// `workers`, largest kind first; every sketch still sees its kind's rows
+/// in canonical order, so the result equals the resident repository's.
 [[nodiscard]] FleetSummary SummarizeFleet(const collect::DataRepository& repo);
 
 /// Parallel variant. On a column-backed repository (collect/
@@ -69,8 +72,8 @@ struct FleetSummary {
 /// `workers`-thread pool and the per-stripe partial sketches are merged in
 /// stripe index order — the stripe partition is a property of the snapshot,
 /// not of the worker count, so the result is bit-identical for any
-/// `workers` (the CI analyze diff gates on this). Falls back to the serial
-/// pass on in-RAM or spill-backed repositories.
+/// `workers` (the CI analyze diff gates on this). Falls back to the
+/// one-argument form on in-RAM or spill-backed repositories.
 [[nodiscard]] FleetSummary SummarizeFleet(const collect::DataRepository& repo,
                                           std::size_t workers);
 

@@ -251,17 +251,18 @@ std::uint64_t SpillDir::bytes_spilled() const {
 
 namespace {
 
-/// Sequential decoder over one section: a small read-ahead buffer refilled
-/// from the segment file, so a merge holds O(fan_in × buffer) memory no
-/// matter how large the sections are. Verifies the v2 frame on open (header
-/// fields must match the manifest's SectionRef) and the body CRC32C +
-/// footer at exhaustion — every merge pass re-checks every byte it reads.
+/// Sequential decoder over one section: a read-ahead buffer of
+/// `buffer_bytes` refilled from the segment file, so a merge holds
+/// O(fan_in × buffer) memory no matter how large the sections are. Verifies
+/// the v2 frame on open (header fields must match the manifest's
+/// SectionRef) and the body CRC32C + footer at exhaustion — every merge
+/// pass re-checks every byte it reads.
 class SectionCursor {
  public:
-  static constexpr std::size_t kBufferBytes = 64 * 1024;
-
-  SectionCursor(std::string path, const SectionRef& ref, bool verify)
-      : path_(std::move(path)), ref_(ref), verify_(verify) {
+  SectionCursor(std::string path, const SectionRef& ref, bool verify, std::size_t buffer_bytes)
+      : path_(std::move(path)), ref_(ref), verify_(verify), buffer_bytes_(buffer_bytes) {
+    // Unbuffered stream: the cursor's own buffer is the only read-ahead.
+    in_.rdbuf()->pubsetbuf(nullptr, 0);
     in_.open(path_, std::ios::binary);
     if (!in_) throw std::runtime_error("spill: cannot reopen segment file " + path_);
     if (verify_) {
@@ -281,6 +282,7 @@ class SectionCursor {
       in_.seekg(static_cast<std::streamoff>(ref.offset));
     }
     remaining_file_ = ref.bytes;
+    buf_.reserve(buffer_bytes_);
   }
 
   /// Frame the next row; returns an empty view at section end (after the
@@ -334,8 +336,8 @@ class SectionCursor {
     buf_.erase(0, pos_);
     pos_ = 0;
     const std::size_t have = buf_.size();
-    std::size_t read_more = kBufferBytes;
-    if (have + read_more < n) read_more = n - have;  // oversized row (long string)
+    // Refill to the buffer size, or past it for an oversized row.
+    std::size_t read_more = std::max(buffer_bytes_, n) - have;
     if (read_more > remaining_file_) read_more = static_cast<std::size_t>(remaining_file_);
     buf_.resize(have + read_more);
     in_.read(buf_.data() + have, static_cast<std::streamsize>(read_more));
@@ -350,6 +352,7 @@ class SectionCursor {
   std::string path_;
   SectionRef ref_;
   bool verify_;
+  std::size_t buffer_bytes_;
   std::ifstream in_;
   std::string buf_;
   std::size_t pos_{0};
@@ -384,6 +387,7 @@ void MergeGroup(SpillDir& dir, const std::vector<SectionRef>& sections, std::siz
   };
 
   const bool verify = dir.config().verify_checksums;
+  const std::size_t buffer_bytes = dir.config().cursor_buffer_bytes();
   std::vector<std::unique_ptr<SectionCursor>> cursors;
   cursors.reserve(end - begin);
   std::priority_queue<Head, std::vector<Head>, HeadGreater> heap;
@@ -401,7 +405,8 @@ void MergeGroup(SpillDir& dir, const std::vector<SectionRef>& sections, std::siz
 
   for (std::size_t i = begin; i < end; ++i) {
     const SectionRef& ref = sections[i];
-    cursors.push_back(std::make_unique<SectionCursor>(dir.file_path(ref.file), ref, verify));
+    cursors.push_back(
+        std::make_unique<SectionCursor>(dir.file_path(ref.file), ref, verify, buffer_bytes));
     advance(cursors.size() - 1);
   }
   while (!heap.empty()) {
@@ -412,68 +417,95 @@ void MergeGroup(SpillDir& dir, const std::vector<SectionRef>& sections, std::siz
   }
 }
 
+/// Merge streams[begin, end) into one new scratch section.
+template <typename T>
+SectionRef MergeIntoScratch(SpillDir& dir, const std::vector<SectionRef>& streams,
+                            std::size_t begin, std::size_t end, std::uint32_t group,
+                            std::uint32_t level) {
+  SegmentLog& scratch = dir.scratch_log();
+  scratch.begin_section(static_cast<std::uint32_t>(kRecordIndexOf<T>), group, level);
+  std::uint64_t rows = 0;
+  BinWriter row_w;
+  std::string chunk;
+  const std::function<void(const T&)> spool = [&](const T& row) {
+    row_w.clear();
+    EncodeRow(row_w, row);
+    char prefix[4];
+    PutU32(prefix, static_cast<std::uint32_t>(row_w.size()));
+    chunk.append(prefix, 4);
+    chunk.append(row_w.buffer());
+    ++rows;
+    if (chunk.size() >= 1 << 20) {
+      scratch.write(chunk.data(), chunk.size());
+      chunk.clear();
+    }
+  };
+  MergeGroup<T>(dir, streams, begin, end, spool);
+  if (!chunk.empty()) scratch.write(chunk.data(), chunk.size());
+  return scratch.end_section(rows);
+}
+
+/// The merge plan: reduce `streams` (canonical stream order) until at most
+/// `fan_in` remain. A level with n streams must reach fan_in^k streams, the
+/// most that k - 1 further levels of full groups plus the final merge can
+/// finish, for the smallest such k. It merges only the excess n - fan_in^k:
+/// contiguous groups of the prefix, each group of g streams removing g - 1,
+/// so every row is rewritten at most once per level and the untouched
+/// suffix keeps its place. Each output replaces its group at the group's
+/// position, so ties keep their canonical order at the next level.
+template <typename T>
+std::vector<SectionRef> ReduceToFanIn(SpillDir& dir, std::vector<SectionRef> streams,
+                                      std::size_t fan_in) {
+  for (std::uint32_t level = 0; streams.size() > fan_in; ++level) {
+    std::size_t target = fan_in;
+    while (target * fan_in < streams.size()) target *= fan_in;
+    std::size_t excess = streams.size() - target;
+    std::vector<SectionRef> next;
+    next.reserve(target);
+    std::size_t begin = 0;
+    while (excess > 0) {
+      const std::size_t group = std::min(fan_in, excess + 1);
+      next.push_back(MergeIntoScratch<T>(dir, streams, begin, begin + group,
+                                         static_cast<std::uint32_t>(next.size()), level));
+      begin += group;
+      excess -= group - 1;
+    }
+    next.insert(next.end(), streams.begin() + static_cast<std::ptrdiff_t>(begin),
+                streams.end());
+    streams = std::move(next);
+  }
+  return streams;
+}
+
 }  // namespace
 
 // --- hierarchical merge -----------------------------------------------------
 
 template <typename T>
 void ForEachSpilledRow(SpillDir& dir, const std::function<void(const T&)>& fn) {
-  std::vector<SectionRef> sections = dir.sections_of_kind(kRecordIndexOf<T>);
-  if (sections.empty()) return;
-  std::sort(sections.begin(), sections.end(), StreamOrder);
-
-  // Merge passes share the scratch log, so the flush and any hierarchical
-  // reduce happen under the merge lock — but the *final* merge below reads
-  // committed, immutable section bytes through private cursors, so the lock
-  // is dropped first. That is what lets the parallel per-kind export and
-  // snapshot writers stream different kinds concurrently: at most one kind
-  // reduces into scratch at a time, then they all merge in parallel.
-  std::unique_lock<std::mutex> lock(dir.merge_mutex());
-  dir.flush_all();  // make every log's buffered tail visible to cursors
-
+  constexpr std::size_t kKind = kRecordIndexOf<T>;
+  std::vector<SectionRef> streams = dir.sections_of_kind(kKind);
+  if (streams.empty()) return;
   const std::size_t fan_in = dir.config().merge_fan_in < 2 ? 2 : dir.config().merge_fan_in;
-  std::uint32_t level = 0;
-  while (sections.size() > fan_in) {
-    // Reduce one level: merge adjacent groups of fan_in sections into single
-    // scratch sections. Groups partition the canonical stream order into
-    // contiguous ranges, so tagging each output with its group index keeps
-    // ties ordered at the next level.
-    std::vector<SectionRef> next;
-    next.reserve(sections.size() / fan_in + 1);
-    SegmentLog& scratch = dir.scratch_log();
-    for (std::size_t begin = 0; begin < sections.size(); begin += fan_in) {
-      const std::size_t end = std::min(begin + fan_in, sections.size());
-      scratch.begin_section(static_cast<std::uint32_t>(kRecordIndexOf<T>),
-                            static_cast<std::uint32_t>(begin / fan_in), /*run=*/level);
-      std::uint64_t rows = 0;
-      BinWriter row_w;
-      std::string chunk;
-      const std::function<void(const T&)> spool = [&](const T& row) {
-        row_w.clear();
-        EncodeRow(row_w, row);
-        std::uint32_t len = static_cast<std::uint32_t>(row_w.size());
-        char prefix[4];
-        PutU32(prefix, len);
-        chunk.append(prefix, 4);
-        chunk.append(row_w.buffer());
-        ++rows;
-        if (chunk.size() >= 1 << 20) {
-          scratch.write(chunk.data(), chunk.size());
-          chunk.clear();
-        }
-      };
-      MergeGroup<T>(dir, sections, begin, end, spool);
-      if (!chunk.empty()) scratch.write(chunk.data(), chunk.size());
-      next.push_back(scratch.end_section(rows));
+
+  // Every registered section was flushed to the OS before it was
+  // registered (SegmentLog::end_section), and committed bytes never move,
+  // so a kind that fits one merge reads its sections without any lock.
+  // A larger kind reduces into the shared scratch log under the merge lock
+  // — once: the plan is cached until the kind's section count changes. The
+  // final merge reads immutable bytes through private cursors, so the
+  // parallel summary, export and snapshot passes stream kinds concurrently.
+  std::sort(streams.begin(), streams.end(), StreamOrder);
+  if (streams.size() > fan_in) {
+    std::lock_guard<std::mutex> lock(dir.merge_mutex());
+    SpillDir::ReducedStreams& reduced = dir.reduced_streams(kKind);
+    if (reduced.sections != streams.size()) {
+      reduced.streams = ReduceToFanIn<T>(dir, streams, fan_in);
+      reduced.sections = streams.size();  // only once the reduce succeeded
     }
-    scratch.flush();
-    sections = std::move(next);
-    ++level;
+    streams = reduced.streams;
   }
-  // Committed sections never move once flushed (scratch appends only), so
-  // the k-way merge itself needs no lock.
-  lock.unlock();
-  MergeGroup<T>(dir, sections, 0, sections.size(), fn);
+  MergeGroup<T>(dir, streams, 0, streams.size(), fn);
 }
 
 // One instantiation per registered record kind.

@@ -16,10 +16,25 @@
 // reproduces that order exactly. No per-row position is stored on disk.
 //
 // Scale: a 100k-home run makes ~25k shards, so a kind can have tens of
-// thousands of sections. The merge is hierarchical with a bounded fan-in:
-// adjacent (in canonical order) sections are merged in groups into scratch
-// sections until one level fits, keeping open files and buffers bounded
-// regardless of N.
+// thousands of sections, and a merge opens at most `merge_fan_in` of them.
+// Only the excess is reduced (DESIGN §11): each level merges just enough
+// contiguous groups of the canonical stream order's prefix into scratch
+// sections that what remains fits the next level, and the last level is
+// one `merge_fan_in`-way merge. No row is rewritten twice in a level. At
+// 10k homes one extra level suffices and rewrites only the excess: 76 of
+// 331 wifi_scan sections, not the whole kind.
+//
+// Reduce once: the SpillDir keeps each kind's reduced stream list, keyed
+// by the section count it was planned from. Later passes (summary, export,
+// snapshot) go straight to the final merge; a changed count — more
+// sections registered, or a resumed directory — re-plans. Scratch
+// sections carry the same CRC frames as worker sections and are re-verified
+// on every read.
+//
+// Memory: each merge cursor's read-ahead is sized from the budget
+// (SpillConfig::cursor_buffer_bytes): up to `workers` kinds merge at once,
+// each through at most `merge_fan_in` cursors, and their buffers together
+// take a quarter of the budget.
 //
 // Durability (segment format v2, DESIGN §12): every section is framed — a
 // 16-byte header (magic, kind, shard, run) before the body, a 24-byte
@@ -30,6 +45,7 @@
 // and fail closed on any mismatch.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -67,6 +83,15 @@ struct SpillConfig {
   [[nodiscard]] std::size_t flush_threshold() const {
     const std::size_t per_worker = budget_bytes / (2 * (workers ? workers : 1));
     return per_worker > 4096 ? per_worker : 4096;
+  }
+
+  /// Read-ahead of one merge cursor: `workers` kinds may merge at once
+  /// (the parallel summary, export and snapshot passes), each through at
+  /// most `merge_fan_in` cursors, and all their buffers share a quarter of
+  /// the budget. Clamped to [4 KiB, 64 KiB].
+  [[nodiscard]] std::size_t cursor_buffer_bytes() const {
+    const std::size_t cursors = (workers ? workers : 1) * (merge_fan_in ? merge_fan_in : 1);
+    return std::clamp<std::size_t>(budget_bytes / (4 * cursors), 4096, 64 * 1024);
   }
 };
 
@@ -184,6 +209,15 @@ class SpillDir {
   /// Serialises merge passes (they share the scratch log).
   [[nodiscard]] std::mutex& merge_mutex() { return merge_mu_; }
 
+  /// Reduce-once cache: the streams a kind's final merge reads, and the
+  /// section count they were planned from. A different count means the
+  /// plan is stale. Callers must hold merge_mutex().
+  struct ReducedStreams {
+    std::size_t sections{0};
+    std::vector<SectionRef> streams;
+  };
+  [[nodiscard]] ReducedStreams& reduced_streams(std::size_t kind) { return reduced_[kind]; }
+
   /// Flush every log's buffered writes so cursors see all appended rows.
   void flush_all();
 
@@ -197,15 +231,18 @@ class SpillDir {
   std::unique_ptr<ManifestWriter> manifest_;
   std::array<std::vector<SectionRef>, kRecordKinds> sections_;
   std::array<std::uint64_t, kRecordKinds> rows_{};
+  std::array<ReducedStreams, kRecordKinds> reduced_;  // guarded by merge_mu_
   mutable std::mutex mu_;
   std::mutex merge_mu_;
 };
 
 /// Stream every row of kind T in canonical repository order — exactly the
 /// sequence `rows<T>()` holds after `finalize_deterministic_order()` on the
-/// in-RAM path. Bounded memory: at most `merge_fan_in` open sections and
-/// one scratch section per merge group at a time. Throws with a precise
-/// diagnostic if any section fails its CRC or framing check.
+/// in-RAM path. Bounded memory: at most `merge_fan_in` open sections per
+/// merge, each with a cursor_buffer_bytes() read-ahead. The first pass over
+/// a kind with more sections reduces its excess into scratch once; later
+/// passes reuse that. Throws with a precise diagnostic if any section
+/// fails its CRC or framing check.
 template <typename T>
 void ForEachSpilledRow(SpillDir& dir, const std::function<void(const T&)>& fn);
 

@@ -4,6 +4,29 @@
 
 namespace bismark {
 
+namespace {
+
+std::optional<std::int64_t> ParseInt(const std::string& value) {
+  std::int64_t out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return out;
+}
+
+std::optional<double> ParseDouble(const std::string& value) {
+  try {
+    std::size_t pos = 0;
+    const double out = std::stod(value, &pos);
+    if (pos != value.size()) return std::nullopt;
+    return out;
+  } catch (...) {
+    return std::nullopt;
+  }
+}
+
+}  // namespace
+
 ArgParser::ArgParser(std::string program_description)
     : description_(std::move(program_description)) {}
 
@@ -80,23 +103,23 @@ std::string ArgParser::get_or(const std::string& name, const std::string& fallba
 std::int64_t ArgParser::get_int(const std::string& name, std::int64_t fallback) const {
   const auto value = get(name);
   if (!value) return fallback;
-  std::int64_t out{};
-  const char* begin = value->data();
-  const char* end = begin + value->size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return (ec == std::errc() && ptr == end) ? out : fallback;
+  return ParseInt(*value).value_or(fallback);
 }
 
 double ArgParser::get_double(const std::string& name, double fallback) const {
   const auto value = get(name);
   if (!value) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double out = std::stod(*value, &pos);
-    return pos == value->size() ? out : fallback;
-  } catch (...) {
-    return fallback;
-  }
+  return ParseDouble(*value).value_or(fallback);
+}
+
+bool ArgParser::parses_int(const std::string& name) const {
+  const auto value = get(name);
+  return !value || ParseInt(*value).has_value();
+}
+
+bool ArgParser::parses_double(const std::string& name) const {
+  const auto value = get(name);
+  return !value || ParseDouble(*value).has_value();
 }
 
 std::string ArgParser::help(const std::string& program_name) const {

@@ -34,6 +34,11 @@ class ArgParser {
   /// Numeric accessors; return fallback on missing/malformed values.
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
+  /// Whether the value of `name` (given or default) is a whole number /
+  /// a number, so get_int / get_double would not fall back. An absent
+  /// option counts as well-formed. Tools reject the rest as usage errors.
+  [[nodiscard]] bool parses_int(const std::string& name) const;
+  [[nodiscard]] bool parses_double(const std::string& name) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
   [[nodiscard]] const std::string& error() const { return error_; }

@@ -144,24 +144,42 @@ double Correlation(std::span<const double> x, std::span<const double> y) {
 QuantileSketch::QuantileSketch(double eps) : eps_(std::clamp(eps, 1e-6, 0.5)) {}
 
 void QuantileSketch::add(double v) {
-  // Find insertion point: first tuple with value >= v.
-  auto it = std::lower_bound(tuples_.begin(), tuples_.end(), v,
-                             [](const Tuple& t, double x) { return t.v < x; });
-  Tuple fresh{v, 1, 0};
-  if (it != tuples_.begin() && it != tuples_.end()) {
-    // Interior insert: the successor may carry mass folded up from values
-    // below v, so the new tuple inherits that rank uncertainty. Extremes
-    // (new min/max) are exact, which keeps min()/max() precise.
-    fresh.delta = it->g + it->delta - 1;
-  }
-  tuples_.insert(it, fresh);
+  pending_.push_back(v);
   ++n_;
-  // Amortize compression: every 1/(2 eps) inserts keeps the invariant
-  // g + delta <= 2 eps n while touching the array O(1) amortized.
+  // Amortize insertion and compression: every 1/(2 eps) adds keeps the
+  // invariant g + delta <= 2 eps n while touching the array O(1) amortized.
   if (++since_compress_ >= static_cast<std::size_t>(1.0 / (2.0 * eps_))) {
+    settle();
     compress();
     since_compress_ = 0;
   }
+}
+
+void QuantileSketch::settle() {
+  if (pending_.empty()) return;
+  // Equal values end up newest first, as lower_bound inserts leave them.
+  std::reverse(pending_.begin(), pending_.end());
+  std::stable_sort(pending_.begin(), pending_.end());
+  std::vector<Tuple> out;
+  out.reserve(tuples_.size() + pending_.size());
+  std::size_t i = 0;
+  for (const double v : pending_) {
+    while (i < tuples_.size() && tuples_[i].v < v) out.push_back(tuples_[i++]);
+    // Interior insert: the successor may carry mass folded up from values
+    // below v, so the new tuple inherits that rank uncertainty. Extremes
+    // (new min/max) are exact, which keeps min()/max() precise.
+    const bool interior = i > 0 && i < tuples_.size();
+    out.push_back(Tuple{v, 1, interior ? tuples_[i].g + tuples_[i].delta - 1 : 0});
+  }
+  out.insert(out.end(), tuples_.begin() + static_cast<std::ptrdiff_t>(i), tuples_.end());
+  tuples_ = std::move(out);
+  pending_.clear();
+}
+
+QuantileSketch QuantileSketch::settled() const {
+  QuantileSketch copy = *this;
+  copy.settle();
+  return copy;
 }
 
 void QuantileSketch::compress() {
@@ -193,6 +211,11 @@ void QuantileSketch::merge(const QuantileSketch& other) {
     *this = other;
     return;
   }
+  if (!other.pending_.empty()) {
+    merge(other.settled());
+    return;
+  }
+  settle();
   // Standard GK merge: interleave the tuple lists by value; each side's
   // rank uncertainty adds, so the result honours eps_a + eps_b.
   std::vector<Tuple> merged;
@@ -207,6 +230,7 @@ void QuantileSketch::merge(const QuantileSketch& other) {
 }
 
 double QuantileSketch::quantile(double q) const {
+  if (!pending_.empty()) return settled().quantile(q);
   if (tuples_.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   if (q == 0.0) return tuples_.front().v;  // extremes are kept exact
@@ -227,6 +251,7 @@ double QuantileSketch::quantile(double q) const {
 }
 
 std::string QuantileSketch::Serialize() const {
+  if (!pending_.empty()) return settled().Serialize();
   std::string out;
   out.reserve(36 + 24 * tuples_.size());
   out.append("GKS1", 4);
@@ -267,9 +292,15 @@ bool QuantileSketch::Deserialize(const std::string& blob, QuantileSketch* out) {
   return true;
 }
 
-double QuantileSketch::min() const { return tuples_.empty() ? 0.0 : tuples_.front().v; }
+double QuantileSketch::min() const {
+  if (!pending_.empty()) return settled().min();
+  return tuples_.empty() ? 0.0 : tuples_.front().v;
+}
 
-double QuantileSketch::max() const { return tuples_.empty() ? 0.0 : tuples_.back().v; }
+double QuantileSketch::max() const {
+  if (!pending_.empty()) return settled().max();
+  return tuples_.empty() ? 0.0 : tuples_.back().v;
+}
 
 P2Quantile::P2Quantile(double q) : q_(std::clamp(q, 0.0, 1.0)) {
   desired_[0] = 1.0;

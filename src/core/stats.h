@@ -54,6 +54,15 @@ class RunningStats {
 /// |r - q * n| <= eps * n. This is what lets `analyze` compute the paper's
 /// distribution figures from a fleet-scale record stream without the full
 /// dataset resident (DESIGN §11).
+///
+/// add() only buffers: every 1/(2 eps) adds — the compress cadence — the
+/// buffer is sorted and merge-inserted into the tuple list in one linear
+/// pass, then compressed. A buffered value inherits the g + delta of its
+/// first pre-batch successor, which is exactly what one-at-a-time inserts
+/// pass along a run of fresh tuples, so the tuples, every answer and every
+/// Serialize blob are the same as without the buffer. Const members never
+/// touch the buffer (they read a settled copy while adds are pending), so
+/// concurrent const queries on one sketch are safe.
 class QuantileSketch {
  public:
   explicit QuantileSketch(double eps = 0.005);
@@ -67,8 +76,9 @@ class QuantileSketch {
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] bool empty() const { return n_ == 0; }
   [[nodiscard]] double eps() const { return eps_; }
-  /// Tuples currently held (memory footprint; grows ~ (1/eps) log(eps n)).
-  [[nodiscard]] std::size_t tuples() const { return tuples_.size(); }
+  /// Tuples currently held, a buffered add counting as the one tuple it
+  /// becomes (memory footprint; grows ~ (1/eps) log(eps n)).
+  [[nodiscard]] std::size_t tuples() const { return tuples_.size() + pending_.size(); }
 
   /// Value at quantile q in [0, 1], within eps * n rank error.
   [[nodiscard]] double quantile(double q) const;
@@ -94,12 +104,17 @@ class QuantileSketch {
     std::uint64_t g;
     std::uint64_t delta;
   };
+  /// Merge-insert the buffered adds into the tuple list (no compress).
+  void settle();
+  /// This sketch with its buffered adds inserted; const members query it.
+  [[nodiscard]] QuantileSketch settled() const;
   void compress();
 
   double eps_;
   std::size_t n_{0};
   std::size_t since_compress_{0};
-  std::vector<Tuple> tuples_;  // sorted by v
+  std::vector<Tuple> tuples_;    // sorted by v
+  std::vector<double> pending_;  // adds not yet inserted, in arrival order
 };
 
 /// P² (Jain/Chlamtac) single-quantile estimator: five markers, O(1) memory,

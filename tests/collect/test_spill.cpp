@@ -1,9 +1,11 @@
 // Spill round-trip: a repository routed through spill-to-disk segment
 // files must reproduce the in-RAM canonical row order and export bytes
 // exactly — including SortKey ties, multi-section merges from a tiny flush
-// threshold, and commits arriving in arbitrary shard order.
+// threshold, commits arriving in arbitrary shard order, and merge plans
+// that need zero, one or several reduce levels.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -12,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/fleet.h"
 #include "collect/export.h"
 #include "collect/repository.h"
 #include "core/rng.h"
+#include "core/stats.h"
 
 namespace bismark::collect {
 namespace {
@@ -127,27 +131,34 @@ std::unique_ptr<DataRepository> BuildInRam(const DatasetWindows& w) {
   return repo;
 }
 
+/// Stage one shard's homes through the spill and commit them.
+void CommitShard(DataRepository& repo, const DatasetWindows& w, int shard) {
+  IngestBatch batch = repo.make_batch();
+  batch.attach_spill(repo.spill(), static_cast<std::uint32_t>(shard),
+                     static_cast<std::size_t>(shard) % repo.spill()->config().workers);
+  for (int h = shard * kShardSize; h < (shard + 1) * kShardSize; ++h) {
+    EmitHome(batch, w, h);
+  }
+  repo.commit(std::move(batch));
+}
+
 /// The spilled twin: a tiny budget forces many mid-shard flushes (so every
 /// kind gets several sections per shard), and commits land in *reverse*
-/// shard order to prove the merge re-derives the canonical order.
+/// shard order to prove the merge re-derives the canonical order. Shards
+/// [0, skip_shards) are left out for the caller to commit later.
 std::unique_ptr<DataRepository> BuildSpilled(const DatasetWindows& w,
-                                             const std::filesystem::path& dir) {
+                                             const std::filesystem::path& dir,
+                                             std::size_t merge_fan_in = 256,
+                                             std::size_t workers = 2, int skip_shards = 0) {
   auto repo = std::make_unique<DataRepository>(w);
   RegisterHomes(*repo);
   SpillConfig cfg;
   cfg.dir = dir.string();
   cfg.budget_bytes = 16 << 10;  // threshold clamps to the 4 KiB floor
-  cfg.workers = 2;
+  cfg.workers = workers;
+  cfg.merge_fan_in = merge_fan_in;
   repo->enable_spill(cfg);
-  for (int shard = kShards - 1; shard >= 0; --shard) {
-    IngestBatch batch = repo->make_batch();
-    batch.attach_spill(repo->spill(), static_cast<std::uint32_t>(shard),
-                       static_cast<std::size_t>(shard % 2));
-    for (int h = shard * kShardSize; h < (shard + 1) * kShardSize; ++h) {
-      EmitHome(batch, w, h);
-    }
-    repo->commit(std::move(batch));
-  }
+  for (int shard = kShards - 1; shard >= skip_shards; --shard) CommitShard(*repo, w, shard);
   repo->finalize_deterministic_order();
   return repo;
 }
@@ -158,6 +169,17 @@ void ExpectSameRows(const DataRepository& ram, const DataRepository& spilled) {
   spilled.for_each_row<T>([&](const T& row) { got.push_back(row); });
   EXPECT_EQ(got, ram.rows<T>());
   EXPECT_EQ(spilled.row_count<T>(), ram.rows<T>().size());
+}
+
+void ExpectEveryKindMatches(const DataRepository& ram, const DataRepository& spilled) {
+  ExpectSameRows<HeartbeatRun>(ram, spilled);
+  ExpectSameRows<UptimeRecord>(ram, spilled);
+  ExpectSameRows<CapacityRecord>(ram, spilled);
+  ExpectSameRows<DeviceCountRecord>(ram, spilled);
+  ExpectSameRows<WifiScanRecord>(ram, spilled);
+  ExpectSameRows<TrafficFlowRecord>(ram, spilled);
+  ExpectSameRows<ThroughputMinute>(ram, spilled);
+  EXPECT_EQ(spilled.total_rows(), ram.total_rows());
 }
 
 TEST(SpillRoundTrip, CanonicalOrderMatchesInRam) {
@@ -171,14 +193,7 @@ TEST(SpillRoundTrip, CanonicalOrderMatchesInRam) {
   // The tiny threshold must actually have fragmented the data.
   EXPECT_GT(spilled->spill()->sections_written(), static_cast<std::uint64_t>(kShards));
 
-  ExpectSameRows<HeartbeatRun>(*ram, *spilled);
-  ExpectSameRows<UptimeRecord>(*ram, *spilled);
-  ExpectSameRows<CapacityRecord>(*ram, *spilled);
-  ExpectSameRows<DeviceCountRecord>(*ram, *spilled);
-  ExpectSameRows<WifiScanRecord>(*ram, *spilled);
-  ExpectSameRows<TrafficFlowRecord>(*ram, *spilled);
-  ExpectSameRows<ThroughputMinute>(*ram, *spilled);
-  EXPECT_EQ(spilled->total_rows(), ram->total_rows());
+  ExpectEveryKindMatches(*ram, *spilled);
 
   std::filesystem::remove_all(dir);
 }
@@ -219,6 +234,195 @@ TEST(SpillRoundTrip, RepeatedStreamingReadsAreStable) {
   spilled->for_each_row<WifiScanRecord>([&](const WifiScanRecord& r) { second.push_back(r); });
   EXPECT_EQ(first, second);
   EXPECT_EQ(first.size(), spilled->row_count<WifiScanRecord>());
+
+  std::filesystem::remove_all(dir);
+}
+
+/// Stream every kind once; returns the total row count.
+std::uint64_t ReadAllKinds(const DataRepository& repo) {
+  std::uint64_t rows = 0;
+  ForEachRecordType([&](auto tag) {
+    using T = typename decltype(tag)::type;
+    repo.for_each_row<T>([&rows](const T&) { ++rows; });
+  });
+  return rows;
+}
+
+/// Segment bytes of one kind, frames included.
+std::uint64_t KindSegmentBytes(const SpillDir& spill, std::size_t kind) {
+  std::uint64_t bytes = 0;
+  for (const SectionRef& ref : spill.sections_of_kind(kind)) {
+    bytes += ref.bytes + kSectionHeaderBytes + kSectionFooterBytes;
+  }
+  return bytes;
+}
+
+// The merge plan at fan-ins that force zero, one and several reduce levels.
+class SpillMergePlan : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SpillMergePlan, EveryKindMatchesInRamOrder) {
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  const auto dir = FreshSpillDir("plan-order");
+  const auto ram = BuildInRam(w);
+  ExpectEveryKindMatches(*ram, *BuildSpilled(w, dir, GetParam()));
+  std::filesystem::remove_all(dir);
+}
+
+TEST_P(SpillMergePlan, ReducesEachKindOnce) {
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  const auto dir = FreshSpillDir("plan-once");
+  const auto spilled = BuildSpilled(w, dir, GetParam());
+  const SegmentLog& scratch = spilled->spill()->scratch_log();
+
+  const std::uint64_t rows = ReadAllKinds(*spilled);
+  EXPECT_EQ(rows, spilled->total_rows());
+  const std::uint64_t after_first = scratch.bytes_written();
+  if (spilled->spill()->sections_of_kind(kRecordIndexOf<WifiScanRecord>).size() >
+      GetParam()) {
+    EXPECT_GT(after_first, 0u);  // the reduce ran
+  }
+  // Later passes reuse the reduced streams: no scratch byte is written.
+  EXPECT_EQ(ReadAllKinds(*spilled), rows);
+  EXPECT_EQ(scratch.bytes_written(), after_first);
+  EXPECT_EQ(ReadAllKinds(*spilled), rows);
+  EXPECT_EQ(scratch.bytes_written(), after_first);
+
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(FanIn, SpillMergePlan, ::testing::Values(2, 3, 7, 256));
+
+TEST(SpillMergeLevels, OneExtraLevelStaysWithinTheKindsBytes) {
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  const auto dir = FreshSpillDir("plan-excess");
+  constexpr std::size_t kFanIn = 7;
+  const auto spilled = BuildSpilled(w, dir, kFanIn);
+  constexpr std::size_t kWifi = kRecordIndexOf<WifiScanRecord>;
+  const std::size_t sections = spilled->spill()->sections_of_kind(kWifi).size();
+  // One extra level: more sections than one merge opens, few enough that
+  // a single reduce level reaches the fan-in.
+  ASSERT_GT(sections, kFanIn);
+  ASSERT_LE(sections, kFanIn * kFanIn);
+
+  std::uint64_t rows = 0;
+  spilled->for_each_row<WifiScanRecord>([&rows](const WifiScanRecord&) { ++rows; });
+  EXPECT_EQ(rows, spilled->row_count<WifiScanRecord>());
+  const std::uint64_t scratch = spilled->spill()->scratch_log().bytes_written();
+  EXPECT_GT(scratch, 0u);
+  EXPECT_LE(scratch, KindSegmentBytes(*spilled->spill(), kWifi));
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SpillMergeLevels, OneExtraLevelRewritesOnlyTheExcess) {
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  constexpr std::size_t kWifi = kRecordIndexOf<WifiScanRecord>;
+  // A fan-in one short of the kind's section count: the one reduce level
+  // must merge just the first two streams of the canonical order.
+  std::size_t sections = 0;
+  {
+    const auto dir = FreshSpillDir("plan-count");
+    sections = BuildSpilled(w, dir)->spill()->sections_of_kind(kWifi).size();
+    std::filesystem::remove_all(dir);
+  }
+  ASSERT_GT(sections, 2u);
+  const auto dir = FreshSpillDir("plan-excess2");
+  const auto spilled = BuildSpilled(w, dir, sections - 1);
+  std::vector<SectionRef> refs = spilled->spill()->sections_of_kind(kWifi);
+  ASSERT_EQ(refs.size(), sections);
+  std::sort(refs.begin(), refs.end(), [](const SectionRef& a, const SectionRef& b) {
+    return a.shard != b.shard ? a.shard < b.shard : a.run < b.run;
+  });
+
+  std::uint64_t rows = 0;
+  spilled->for_each_row<WifiScanRecord>([&rows](const WifiScanRecord&) { ++rows; });
+  EXPECT_EQ(rows, spilled->row_count<WifiScanRecord>());
+  EXPECT_EQ(spilled->spill()->scratch_log().bytes_written(),
+            refs[0].bytes + refs[1].bytes + kSectionHeaderBytes + kSectionFooterBytes);
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SpillMergeLevels, ReplansWhenTheSectionCountChanges) {
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  const auto dir = FreshSpillDir("plan-replan");
+  const auto ram = BuildInRam(w);
+  // Shard 0 arrives after a first read has cached the reduced streams.
+  const auto spilled = BuildSpilled(w, dir, 3, 2, /*skip_shards=*/1);
+  std::uint64_t partial = 0;
+  spilled->for_each_row<WifiScanRecord>([&partial](const WifiScanRecord&) { ++partial; });
+  const std::uint64_t scratch_before = spilled->spill()->scratch_log().bytes_written();
+  CommitShard(*spilled, w, 0);
+  spilled->finalize_deterministic_order();
+
+  ExpectSameRows<WifiScanRecord>(*ram, *spilled);
+  EXPECT_LT(partial, spilled->row_count<WifiScanRecord>());
+  EXPECT_GT(spilled->spill()->scratch_log().bytes_written(), scratch_before);
+
+  std::filesystem::remove_all(dir);
+}
+
+/// The p10/p50/p90/p99 of `sketch` lie within eps * n ranks of the exact
+/// order statistics of `exact`.
+void ExpectWithinEps(const QuantileSketch& sketch, std::vector<double> exact,
+                     const char* name) {
+  ASSERT_EQ(sketch.count(), exact.size()) << name;
+  std::sort(exact.begin(), exact.end());
+  const double n = static_cast<double>(exact.size());
+  for (const double q : {0.10, 0.50, 0.90, 0.99}) {
+    const double v = sketch.quantile(q);
+    const auto lo = std::lower_bound(exact.begin(), exact.end(), v);
+    const auto hi = std::upper_bound(exact.begin(), exact.end(), v);
+    ASSERT_NE(lo, hi) << name << " p" << q * 100 << " is not a sample";
+    const double r_lo = static_cast<double>(lo - exact.begin()) + 1.0;
+    const double r_hi = static_cast<double>(hi - exact.begin());
+    const double target = q * n;
+    const double dist = target < r_lo ? r_lo - target : (target > r_hi ? target - r_hi : 0.0);
+    EXPECT_LE(dist, sketch.eps() * n + 1.0) << name << " p" << q * 100;
+  }
+}
+
+TEST(SpillFleetSummary, SameAtAnyWorkerCountAndAsResident) {
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  const auto ram = BuildInRam(w);
+  const std::string resident = analysis::SerializeFleetSummary(analysis::SummarizeFleet(*ram));
+  for (const std::size_t workers : {1, 2, 4}) {
+    const auto dir = FreshSpillDir(("summary-w" + std::to_string(workers)).c_str());
+    const auto spilled = BuildSpilled(w, dir, 7, workers);
+    const analysis::FleetSummary summary = analysis::SummarizeFleet(*spilled);
+    EXPECT_EQ(summary.rows, ram->total_rows());
+    EXPECT_EQ(analysis::SerializeFleetSummary(summary), resident) << "workers " << workers;
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(SpillFleetSummary, PercentilesWithinEpsOfExactOrderStatistics) {
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  const auto dir = FreshSpillDir("summary-oracle");
+  const auto ram = BuildInRam(w);
+  const analysis::FleetSummary summary = analysis::SummarizeFleet(*BuildSpilled(w, dir, 3));
+
+  std::vector<double> down, up, aps, clients, peak, flow_kb;
+  for (const CapacityRecord& r : ram->rows<CapacityRecord>()) {
+    down.push_back(r.downstream.mbps());
+    up.push_back(r.upstream.mbps());
+  }
+  for (const WifiScanRecord& r : ram->rows<WifiScanRecord>()) {
+    aps.push_back(static_cast<double>(r.visible_aps));
+    clients.push_back(static_cast<double>(r.associated_clients));
+  }
+  for (const ThroughputMinute& r : ram->rows<ThroughputMinute>()) {
+    peak.push_back(r.peak_down_bps / 1e6);
+  }
+  for (const TrafficFlowRecord& r : ram->rows<TrafficFlowRecord>()) {
+    flow_kb.push_back(r.total_bytes().kb());
+  }
+  ExpectWithinEps(summary.capacity_down_mbps, down, "capacity down");
+  ExpectWithinEps(summary.capacity_up_mbps, up, "capacity up");
+  ExpectWithinEps(summary.visible_aps, aps, "visible APs");
+  ExpectWithinEps(summary.associated_clients, clients, "associated clients");
+  ExpectWithinEps(summary.throughput_down_mbps, peak, "peak minute down");
+  ExpectWithinEps(summary.flow_kbytes, flow_kb, "flow size");
 
   std::filesystem::remove_all(dir);
 }

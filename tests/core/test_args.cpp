@@ -65,6 +65,24 @@ TEST(ArgParserTest, NumericFallbacks) {
   EXPECT_DOUBLE_EQ(args2.get_double("seed", 0.0), 3.5);
 }
 
+TEST(ArgParserTest, ParsesReportsMalformedNumbers) {
+  ArgParser args = MakeParser();
+  ASSERT_TRUE(args.parse({"--seed", "abc", "--export", "3.5"}));
+  EXPECT_FALSE(args.parses_int("seed"));
+  EXPECT_FALSE(args.parses_double("seed"));
+  EXPECT_FALSE(args.parses_int("export"));  // a double is not a whole number
+  EXPECT_TRUE(args.parses_double("export"));
+  EXPECT_TRUE(args.parses_int("missing"));  // absent options are well-formed
+  ArgParser defaults = MakeParser();
+  ASSERT_TRUE(defaults.parse(std::vector<std::string>{}));
+  EXPECT_TRUE(defaults.parses_int("seed"));
+  EXPECT_TRUE(defaults.parses_int("export"));
+  ArgParser trailing = MakeParser();
+  ASSERT_TRUE(trailing.parse({"--seed", "7x"}));
+  EXPECT_FALSE(trailing.parses_int("seed"));
+  EXPECT_FALSE(trailing.parses_double("seed"));
+}
+
 TEST(ArgParserTest, HelpListsEverything) {
   ArgParser args = MakeParser();
   const std::string help = args.help("tool");

@@ -489,6 +489,22 @@ int main(int argc, char** argv) {
     std::fputs(args.help("bismark_study <run|report|analyze>").c_str(), stderr);
     return 2;
   };
+  // A garbled number is a usage error, never a silent run with the default
+  // (--homes, --memory-budget-mb, --checkpoint-every and the CGN options
+  // carry their own range checks).
+  for (const char* name : {"seed", "weeks", "workers", "spool-capacity", "fault-seed"}) {
+    if (!args.parses_int(name)) {
+      return usage_error(std::string("--") + name + " must be an integer (got '" +
+                         *args.get(name) + "')");
+    }
+  }
+  for (const char* name : {"scale", "collector-outages-per-month", "heartbeat-loss",
+                           "upload-loss", "ack-loss"}) {
+    if (!args.parses_double(name)) {
+      return usage_error(std::string("--") + name + " must be a number (got '" +
+                         *args.get(name) + "')");
+    }
+  }
   // Crash-safety knobs (DESIGN §12): a malformed cadence, a --resume that
   // contradicts the manifest-owned options, or an unusable spill directory
   // is a usage error at startup, never a failure half-way into a run.
