@@ -22,7 +22,6 @@
 #include "collect/export.h"
 #include "collect/import.h"
 #include "collect/repository.h"
-#include "collect/snapshot.h"
 #include "collect/spill.h"
 #include "common.h"
 #include "core/cdf.h"
@@ -395,15 +394,6 @@ const std::array<std::string, collect::kRecordKinds>& RecordBenchCsv() {
   return *corpus;
 }
 
-const std::string& RecordBenchSnapshot() {
-  static const std::string* bytes = [] {
-    std::ostringstream out;
-    collect::SaveSnapshot(RecordBenchRepo(), out);
-    return new std::string(out.str());
-  }();
-  return *bytes;
-}
-
 void BM_CsvExportAllDatasets(benchmark::State& state) {
   const auto& repo = RecordBenchRepo();
   for (auto _ : state) {
@@ -438,30 +428,6 @@ void BM_CsvImportAllDatasets(benchmark::State& state) {
                           static_cast<std::int64_t>(RecordBenchRepo().total_rows()));
 }
 BENCHMARK(BM_CsvImportAllDatasets)->Unit(benchmark::kMillisecond);
-
-void BM_SnapshotSave(benchmark::State& state) {
-  const auto& repo = RecordBenchRepo();
-  for (auto _ : state) {
-    std::ostringstream out;
-    collect::SaveSnapshot(repo, out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(RecordBenchRepo().total_rows()));
-}
-BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond);
-
-void BM_SnapshotLoad(benchmark::State& state) {
-  const auto& bytes = RecordBenchSnapshot();
-  for (auto _ : state) {
-    std::istringstream in(bytes);
-    auto repo = collect::LoadSnapshot(in);
-    benchmark::DoNotOptimize(repo);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(RecordBenchRepo().total_rows()));
-}
-BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond);
 
 // --- columnar snapshot substrate (DESIGN §14) -------------------------------
 
@@ -527,22 +493,18 @@ void BM_AnalyzeFromSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeFromSnapshot)->Unit(benchmark::kMillisecond);
 
-/// The pre-columnar equivalent: deserialize a whole v2 row snapshot into
-/// RAM, then run the same summary. The 3x+ gap is the cost the columnar
-/// substrate removes (no full-corpus materialisation before analysis).
-void BM_AnalyzeFromSnapshotV2(benchmark::State& state) {
-  const auto& bytes = RecordBenchSnapshot();
+/// The same summary over the resident repository, with no load: the
+/// paired comparator CI gates BM_AnalyzeFromSnapshot against, so the
+/// columnar open + scan overhead is measured on the same runner.
+void BM_AnalyzeResident(benchmark::State& state) {
+  const auto& repo = RecordBenchRepo();
   for (auto _ : state) {
-    std::istringstream in(bytes);
-    auto repo = collect::LoadSnapshot(in);
-    if (!repo) state.SkipWithError("LoadSnapshot failed");
-    auto summary = analysis::SummarizeFleet(*repo);
+    auto summary = analysis::SummarizeFleet(repo, 1);
     benchmark::DoNotOptimize(summary.rows);
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(RecordBenchRepo().total_rows()));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(repo.total_rows()));
 }
-BENCHMARK(BM_AnalyzeFromSnapshotV2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyzeResident)->Unit(benchmark::kMillisecond);
 
 // --- crash safety: segment checksums and the verifying merge path -----------
 

@@ -1,6 +1,7 @@
 #include "analysis/fleet.h"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <iomanip>
 #include <ostream>
@@ -8,7 +9,6 @@
 #include <vector>
 
 #include "collect/binio.h"
-#include "collect/column_snapshot.h"
 #include "core/thread_pool.h"
 
 namespace bismark::analysis {
@@ -17,10 +17,6 @@ namespace {
 
 /// Per-home scalar state for the per-home distributions. Indexed by home
 /// id, which the deployment mints densely from the roster index.
-/// covered_ms holds exact integer millisecond sums (every addend is an
-/// int64 and the totals stay far below 2^53), so accumulation order cannot
-/// change the value — that is what lets the parallel path merge per-stripe
-/// partials without a floating-point ordering hazard.
 struct HomeAgg {
   double covered_ms{0.0};
   std::uint32_t heartbeat_runs{0};
@@ -47,22 +43,13 @@ void SeedCountries(const collect::DataRepository& repo, FleetSummary* out) {
   }
 }
 
-/// Fold `from` into `into` deterministically: the first non-empty partial
-/// is adopted wholesale (QuantileSketch::merge sums the eps bounds, so
-/// merging into a default-constructed sketch would inflate the error
-/// budget of single-stripe kinds for nothing).
-void FoldSketch(QuantileSketch* into, QuantileSketch&& from) {
-  if (from.empty()) return;
-  if (into->empty()) {
-    *into = std::move(from);
-  } else {
-    into->merge(from);
-  }
-}
-
 }  // namespace
 
 FleetSummary SummarizeFleet(const collect::DataRepository& repo) {
+  return SummarizeFleet(repo, repo.spilling() ? repo.spill()->config().workers : 1);
+}
+
+FleetSummary SummarizeFleet(const collect::DataRepository& repo, std::size_t workers) {
   FleetSummary out;
   out.homes = repo.homes().size();
   out.rows = repo.total_rows();
@@ -135,13 +122,10 @@ FleetSummary SummarizeFleet(const collect::DataRepository& repo) {
     });
   }});
 
-  // A spilled repository streams every kind through its own k-way merge,
-  // so the passes run side by side on the spill's workers, largest kind
-  // first: it bounds the wall time and must not start last. A resident
-  // repository scans memory and stays on the calling thread.
+  // The passes run side by side, largest kind first: it bounds the wall
+  // time and must not start last.
   std::stable_sort(passes.begin(), passes.end(),
                    [](const Pass& a, const Pass& b) { return a.rows > b.rows; });
-  const std::size_t workers = repo.spilling() ? repo.spill()->config().workers : 1;
   ThreadPool pool(static_cast<int>(std::min(workers, passes.size())));
   pool.parallel_for(passes.size(), [&passes](std::size_t i, int) { passes[i].run(); });
 
@@ -159,183 +143,6 @@ FleetSummary SummarizeFleet(const collect::DataRepository& repo) {
     const int devices = dev_agg[static_cast<std::size_t>(info.id.value)].max_unique_devices;
     if (info.reports_devices && devices >= 0) {
       out.unique_devices.add(static_cast<double>(devices));
-    }
-  }
-  return out;
-}
-
-namespace {
-
-/// Per-stripe partial for the sketch-per-row kinds.
-struct SketchPartial {
-  QuantileSketch a;
-  QuantileSketch b;
-  std::map<std::string, CountryCapacity> by_country;  // capacity only
-};
-
-}  // namespace
-
-FleetSummary SummarizeFleet(const collect::DataRepository& repo, std::size_t workers) {
-  const collect::ColumnSnapshot* snap = repo.columns();
-  if (snap == nullptr) return SummarizeFleet(repo);
-
-  FleetSummary out;
-  out.homes = repo.homes().size();
-  out.rows = repo.total_rows();
-
-  int max_id = -1;
-  for (const collect::HomeInfo& info : repo.homes()) {
-    max_id = std::max(max_id, info.id.value);
-  }
-  const auto country = CountryByHomeId(repo, max_id);
-  SeedCountries(repo, &out);
-
-  // One task per (kind, stripe): every task owns its partial slot, so the
-  // scan itself is embarrassingly parallel. Determinism comes from the
-  // merge below, which folds partials in stripe index order — a property
-  // of the snapshot, not of how many threads scanned it.
-  std::vector<std::function<void()>> tasks;
-
-  const std::size_t hb_n = snap->stripes_of_kind(collect::kRecordIndexOf<collect::HeartbeatRun>);
-  std::vector<std::vector<HomeAgg>> hb_parts(hb_n);
-  for (std::size_t s = 0; s < hb_n; ++s) {
-    tasks.emplace_back([&, s] {
-      auto& agg = hb_parts[s];
-      agg.assign(static_cast<std::size_t>(max_id + 1), HomeAgg{});
-      snap->for_each_row_in_stripe<collect::HeartbeatRun>(
-          s, [&](const collect::HeartbeatRun& run) {
-            if (run.home.value < 0 || run.home.value > max_id) return;
-            HomeAgg& a = agg[static_cast<std::size_t>(run.home.value)];
-            a.covered_ms += static_cast<double>((run.end - run.start).ms);
-            ++a.heartbeat_runs;
-          });
-    });
-  }
-
-  const std::size_t dev_n =
-      snap->stripes_of_kind(collect::kRecordIndexOf<collect::DeviceCountRecord>);
-  std::vector<std::vector<HomeAgg>> dev_parts(dev_n);
-  for (std::size_t s = 0; s < dev_n; ++s) {
-    tasks.emplace_back([&, s] {
-      auto& agg = dev_parts[s];
-      agg.assign(static_cast<std::size_t>(max_id + 1), HomeAgg{});
-      snap->for_each_row_in_stripe<collect::DeviceCountRecord>(
-          s, [&](const collect::DeviceCountRecord& rec) {
-            if (rec.home.value < 0 || rec.home.value > max_id) return;
-            HomeAgg& a = agg[static_cast<std::size_t>(rec.home.value)];
-            a.max_unique_devices = std::max(a.max_unique_devices, rec.unique_total);
-          });
-    });
-  }
-
-  const std::size_t cap_n =
-      snap->stripes_of_kind(collect::kRecordIndexOf<collect::CapacityRecord>);
-  std::vector<SketchPartial> cap_parts(cap_n);
-  for (std::size_t s = 0; s < cap_n; ++s) {
-    tasks.emplace_back([&, s] {
-      SketchPartial& p = cap_parts[s];
-      snap->for_each_row_in_stripe<collect::CapacityRecord>(
-          s, [&](const collect::CapacityRecord& rec) {
-            p.a.add(rec.downstream.mbps());
-            p.b.add(rec.upstream.mbps());
-            if (rec.home.value < 0 || rec.home.value > max_id) return;
-            if (const std::string* code = country[static_cast<std::size_t>(rec.home.value)]) {
-              CountryCapacity& cc = p.by_country[*code];
-              cc.down_mbps.add(rec.downstream.mbps());
-              cc.up_mbps.add(rec.upstream.mbps());
-            }
-          });
-    });
-  }
-
-  const std::size_t wifi_n =
-      snap->stripes_of_kind(collect::kRecordIndexOf<collect::WifiScanRecord>);
-  std::vector<SketchPartial> wifi_parts(wifi_n);
-  for (std::size_t s = 0; s < wifi_n; ++s) {
-    tasks.emplace_back([&, s] {
-      SketchPartial& p = wifi_parts[s];
-      snap->for_each_row_in_stripe<collect::WifiScanRecord>(
-          s, [&](const collect::WifiScanRecord& rec) {
-            p.a.add(static_cast<double>(rec.visible_aps));
-            p.b.add(static_cast<double>(rec.associated_clients));
-          });
-    });
-  }
-
-  const std::size_t tp_n =
-      snap->stripes_of_kind(collect::kRecordIndexOf<collect::ThroughputMinute>);
-  std::vector<SketchPartial> tp_parts(tp_n);
-  for (std::size_t s = 0; s < tp_n; ++s) {
-    tasks.emplace_back([&, s] {
-      SketchPartial& p = tp_parts[s];
-      snap->for_each_row_in_stripe<collect::ThroughputMinute>(
-          s, [&](const collect::ThroughputMinute& rec) {
-            p.a.add(rec.peak_down_bps / 1e6);
-          });
-    });
-  }
-
-  const std::size_t flow_n =
-      snap->stripes_of_kind(collect::kRecordIndexOf<collect::TrafficFlowRecord>);
-  std::vector<SketchPartial> flow_parts(flow_n);
-  for (std::size_t s = 0; s < flow_n; ++s) {
-    tasks.emplace_back([&, s] {
-      SketchPartial& p = flow_parts[s];
-      snap->for_each_row_in_stripe<collect::TrafficFlowRecord>(
-          s, [&](const collect::TrafficFlowRecord& rec) {
-            p.a.add(rec.total_bytes().kb());
-          });
-    });
-  }
-
-  ThreadPool pool(static_cast<int>(workers));
-  pool.parallel_for(tasks.size(), [&](std::size_t i, int) { tasks[i](); });
-
-  // Stripe-order merge. HomeAgg folds are exact-integer sums and maxes
-  // (order-free); the sketch folds are order-sensitive, hence the fixed
-  // iteration.
-  std::vector<HomeAgg> agg(static_cast<std::size_t>(max_id + 1));
-  for (const auto& part : hb_parts) {
-    for (std::size_t i = 0; i < agg.size(); ++i) {
-      agg[i].covered_ms += part[i].covered_ms;
-      agg[i].heartbeat_runs += part[i].heartbeat_runs;
-    }
-  }
-  for (const auto& part : dev_parts) {
-    for (std::size_t i = 0; i < agg.size(); ++i) {
-      agg[i].max_unique_devices =
-          std::max(agg[i].max_unique_devices, part[i].max_unique_devices);
-    }
-  }
-  for (SketchPartial& p : cap_parts) {
-    FoldSketch(&out.capacity_down_mbps, std::move(p.a));
-    FoldSketch(&out.capacity_up_mbps, std::move(p.b));
-    for (auto& [code, cc] : p.by_country) {
-      CountryCapacity& into = out.capacity_by_country[code];
-      FoldSketch(&into.down_mbps, std::move(cc.down_mbps));
-      FoldSketch(&into.up_mbps, std::move(cc.up_mbps));
-    }
-  }
-  for (SketchPartial& p : wifi_parts) {
-    FoldSketch(&out.visible_aps, std::move(p.a));
-    FoldSketch(&out.associated_clients, std::move(p.b));
-  }
-  for (SketchPartial& p : tp_parts) FoldSketch(&out.throughput_down_mbps, std::move(p.a));
-  for (SketchPartial& p : flow_parts) FoldSketch(&out.flow_kbytes, std::move(p.a));
-
-  const Interval hb = repo.windows().heartbeats;
-  const double window_ms = static_cast<double>((hb.end - hb.start).ms);
-  const double window_days = window_ms / (24.0 * 3600.0 * 1000.0);
-  for (const collect::HomeInfo& info : repo.homes()) {
-    const HomeAgg& a = agg[static_cast<std::size_t>(info.id.value)];
-    if (info.reports_uptime && window_ms > 0.0) {
-      out.availability_fraction.add(std::min(1.0, a.covered_ms / window_ms));
-      if (a.heartbeat_runs > 0 && window_days > 0.0) {
-        out.downtimes_per_day.add(static_cast<double>(a.heartbeat_runs - 1) / window_days);
-      }
-    }
-    if (info.reports_devices && a.max_unique_devices >= 0) {
-      out.unique_devices.add(static_cast<double>(a.max_unique_devices));
     }
   }
   return out;
@@ -404,10 +211,9 @@ void WriteFleetSummary(const FleetSummary& summary, std::ostream& out) {
 
 namespace {
 
-// v2 appends the per-country capacity table; v1 blobs (older checkpoints)
-// still deserialize, with an empty table.
+// v2 appends the per-country capacity table. A v1 blob (an older
+// checkpoint) fails closed, so the caller recomputes a summary that has it.
 constexpr char kSummaryMagic[4] = {'F', 'L', 'S', '2'};
-constexpr char kSummaryMagicV1[4] = {'F', 'L', 'S', '1'};
 
 /// The nine sketches in one fixed order, shared by both codec directions so
 /// they cannot drift.
@@ -451,13 +257,9 @@ bool DeserializeFleetSummary(const std::string& blob, FleetSummary* out,
   collect::BinReader r(blob.data(), blob.size());
   char magic[sizeof(kSummaryMagic)] = {};
   for (auto& c : magic) c = static_cast<char>(r.u8());
-  const auto is = [&magic](const char (&want)[4]) {
-    return std::string_view(magic, sizeof(magic)) == std::string_view(want, sizeof(want));
-  };
-  if (r.failed() || (!is(kSummaryMagic) && !is(kSummaryMagicV1))) {
+  if (r.failed() || std::memcmp(magic, kSummaryMagic, sizeof(magic)) != 0) {
     return fail("bad magic");
   }
-  const bool v1 = is(kSummaryMagicV1);
   FleetSummary summary;
   summary.homes = static_cast<std::size_t>(r.u64());
   summary.rows = r.u64();
@@ -470,19 +272,17 @@ bool DeserializeFleetSummary(const std::string& blob, FleetSummary* out,
     ok = QuantileSketch::Deserialize(r.str(), &s);
   });
   if (!ok || r.failed()) return fail("malformed sketch blob");
-  if (!v1) {
-    const std::uint32_t countries = r.u32();
-    if (r.failed()) return fail("malformed country table");
-    for (std::uint32_t i = 0; i < countries && ok; ++i) {
-      std::string code = r.str();
-      CountryCapacity cc;
-      cc.homes = static_cast<std::size_t>(r.u64());
-      ok = !r.failed() && QuantileSketch::Deserialize(r.str(), &cc.down_mbps) &&
-           QuantileSketch::Deserialize(r.str(), &cc.up_mbps);
-      if (ok) summary.capacity_by_country.emplace(std::move(code), std::move(cc));
-    }
-    if (!ok || r.failed()) return fail("malformed country table");
+  const std::uint32_t countries = r.u32();
+  if (r.failed()) return fail("malformed country table");
+  for (std::uint32_t i = 0; i < countries && ok; ++i) {
+    std::string code = r.str();
+    CountryCapacity cc;
+    cc.homes = static_cast<std::size_t>(r.u64());
+    ok = !r.failed() && QuantileSketch::Deserialize(r.str(), &cc.down_mbps) &&
+         QuantileSketch::Deserialize(r.str(), &cc.up_mbps);
+    if (ok) summary.capacity_by_country.emplace(std::move(code), std::move(cc));
   }
+  if (!ok || r.failed()) return fail("malformed country table");
   if (!r.at_end()) return fail("trailing bytes");
   *out = std::move(summary);
   return true;

@@ -3,8 +3,9 @@
 // quantile sketches (core/stats.h) instead of resident row vectors.
 //
 // This is the analysis path that works at fleet scale: the repository may
-// be spill-backed (collect/spill.h), in which case `for_each_row` streams
-// segment files and nothing here ever holds a full data set. Per-home
+// be spill-backed (collect/spill.h) or column-backed (collect/
+// column_snapshot.h), in which case `for_each_row` streams segment or
+// column files and nothing here ever holds a full data set. Per-home
 // scalar accumulators are the only O(homes) state (a few dozen bytes per
 // home); every distribution is an eps-bounded sketch.
 #pragma once
@@ -61,21 +62,18 @@ struct FleetSummary {
   std::map<std::string, CountryCapacity> capacity_by_country;
 };
 
-/// One streaming pass per data set over `repo` (resident or spilled). On a
-/// spilled repository the six passes run on a pool of the spill's own
-/// `workers`, largest kind first; every sketch still sees its kind's rows
-/// in canonical order, so the result equals the resident repository's.
-[[nodiscard]] FleetSummary SummarizeFleet(const collect::DataRepository& repo);
-
-/// Parallel variant. On a column-backed repository (collect/
-/// column_snapshot.h) every (kind, stripe) pair becomes one task on a
-/// `workers`-thread pool and the per-stripe partial sketches are merged in
-/// stripe index order — the stripe partition is a property of the snapshot,
-/// not of the worker count, so the result is bit-identical for any
-/// `workers` (the CI analyze diff gates on this). Falls back to the
-/// one-argument form on in-RAM or spill-backed repositories.
+/// One streaming pass per data set over `repo` (resident, spilled or
+/// column-backed). The six passes run on a pool of `workers` threads,
+/// largest kind first; each pass feeds its own sketches its kind's rows in
+/// canonical order, so every sketch is the one a serial scan builds: the
+/// result is bit-identical at any `workers` and across the three backends,
+/// and every distribution stays within eps * n rank error.
 [[nodiscard]] FleetSummary SummarizeFleet(const collect::DataRepository& repo,
                                           std::size_t workers);
+
+/// As above, on the spill's own `workers` when `repo` is spilled, else on
+/// the calling thread.
+[[nodiscard]] FleetSummary SummarizeFleet(const collect::DataRepository& repo);
 
 /// Render the summary as a fixed-width quantile table (p10/p50/p90/p99).
 void WriteFleetSummary(const FleetSummary& summary, std::ostream& out);

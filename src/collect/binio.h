@@ -1,11 +1,11 @@
 // Shared little-endian binary codec for record persistence.
 //
-// One writer/reader pair serves both durable formats derived from the
-// schema layer: the BSMKSNAP snapshot (collect/snapshot.h) and the
-// fleet-scale spill segments (collect/spill.h). The `value()` overload set
-// is the single list of serialisable member types; a record field of a new
-// type fails to compile in both formats until an overload is added here,
-// so the formats cannot drift apart.
+// One writer/reader pair serves the fleet-scale spill segments
+// (collect/spill.h), whose rows derive from the schema layer, and the
+// BSMKSNAP meta file (collect/column_snapshot.h). The `value()` overload
+// set is the single list of serialisable member types; a record field of a
+// new type fails to compile in the spill format until an overload is added
+// here.
 //
 // All integers are encoded little-endian byte-by-byte, independent of host
 // endianness. Strings are u32-length-prefixed. Doubles are IEEE-754 bit

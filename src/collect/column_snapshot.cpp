@@ -1,12 +1,12 @@
 #include "collect/column_snapshot.h"
 
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 
 #include "collect/binio.h"
-#include "collect/snapshot.h"
 #include "core/crc32c.h"
 #include "core/thread_pool.h"
 
@@ -17,8 +17,7 @@ namespace {
 using coldetail::LoadLe;
 using coldetail::StoreLe;
 
-// The meta file shares the v2 snapshot's framing for windows and homes;
-// the Put/Get pairs are private to each format, so they are restated here.
+// Meta-file framing for the windows and the home roster.
 
 void PutInterval(BinWriter& w, const Interval& ival) {
   w.i64(ival.start.ms);

@@ -1,14 +1,11 @@
-// BSMKSNAP v3: the columnar snapshot substrate (DESIGN §14).
-//
-// v1/v2 snapshots are one row-oriented blob: loading any figure's input
-// means decoding every row of every data set. v3 turns the snapshot into
-// the native analytical layout — a *directory* with one meta file plus one
+// BSMKSNAP v3: the columnar snapshot, the one on-disk format of a data set
+// (DESIGN §14). A snapshot is a *directory* with one meta file plus one
 // column file per non-empty kind, so `analyze` maps only the kinds a
 // figure needs and scans them without a decode pass:
 //
 //   <dir>/snapshot.bsmkmeta      magic/version/windows/homes + the full
-//                                per-kind section table, CRC32C-trailed
-//                                exactly like the v2 snapshot
+//                                per-kind section table, then a CRC32C
+//                                of every preceding byte
 //   <dir>/<kind>.bsmkcol         one file per kind with rows, e.g.
 //                                capacity.bsmkcol — stripes of per-field
 //                                column sections
@@ -58,6 +55,8 @@
 
 namespace bismark::collect {
 
+inline constexpr char kSnapshotMagic[8] = {'B', 'S', 'M', 'K', 'S', 'N', 'A', 'P'};
+/// The only version read or written; the meta reader refuses any other.
 inline constexpr std::uint32_t kColumnSnapshotVersion = 3;
 inline constexpr char kColumnMetaFile[] = "snapshot.bsmkmeta";
 inline constexpr char kColumnFileSuffix[] = ".bsmkcol";

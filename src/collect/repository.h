@@ -174,8 +174,7 @@ class DataRepository final : public RecordSink {
     columns_ = std::move(columns);
   }
   [[nodiscard]] bool column_backed() const { return columns_ != nullptr; }
-  /// The backing snapshot (nullptr unless column-backed). Analysis code
-  /// that wants per-stripe parallel scans reaches through this.
+  /// The backing snapshot (nullptr unless column-backed).
   [[nodiscard]] const ColumnSnapshot* columns() const { return columns_.get(); }
 
   /// Impose the canonical record order: every data set stably sorted by

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <iterator>
 
 namespace bismark {
 
@@ -203,30 +202,6 @@ void QuantileSketch::compress() {
     }
   }
   tuples_ = std::move(out);
-}
-
-void QuantileSketch::merge(const QuantileSketch& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  if (!other.pending_.empty()) {
-    merge(other.settled());
-    return;
-  }
-  settle();
-  // Standard GK merge: interleave the tuple lists by value; each side's
-  // rank uncertainty adds, so the result honours eps_a + eps_b.
-  std::vector<Tuple> merged;
-  merged.reserve(tuples_.size() + other.tuples_.size());
-  std::merge(tuples_.begin(), tuples_.end(), other.tuples_.begin(), other.tuples_.end(),
-             std::back_inserter(merged),
-             [](const Tuple& a, const Tuple& b) { return a.v < b.v; });
-  tuples_ = std::move(merged);
-  n_ += other.n_;
-  eps_ = std::min(eps_ + other.eps_, 0.5);
-  compress();
 }
 
 double QuantileSketch::quantile(double q) const {

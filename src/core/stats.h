@@ -53,7 +53,9 @@ class RunningStats {
 /// returned for quantile q is an element whose true rank r satisfies
 /// |r - q * n| <= eps * n. This is what lets `analyze` compute the paper's
 /// distribution figures from a fleet-scale record stream without the full
-/// dataset resident (DESIGN §11).
+/// dataset resident (DESIGN §11). There is deliberately no merge: folding
+/// GK sketches sums their eps, so each sketch is fed one stream in order
+/// and its bound never grows (analysis/fleet.h).
 ///
 /// add() only buffers: every 1/(2 eps) adds — the compress cadence — the
 /// buffer is sorted and merge-inserted into the tuple list in one linear
@@ -68,10 +70,6 @@ class QuantileSketch {
   explicit QuantileSketch(double eps = 0.005);
 
   void add(double v);
-  /// Fold another sketch in (per-shard sketches merged post-run). The
-  /// merged sketch keeps the rank-error bound eps_a + eps_b, so merging
-  /// same-eps sketches doubles the tolerance — budget eps accordingly.
-  void merge(const QuantileSketch& other);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] bool empty() const { return n_ == 0; }
@@ -88,7 +86,7 @@ class QuantileSketch {
 
   /// Self-contained little-endian blob of the full sketch state; a
   /// deserialized sketch answers every query — and absorbs every future
-  /// add/merge — exactly like the original. Used by checkpoint/resume
+  /// add — exactly like the original. Used by checkpoint/resume
   /// (DESIGN §12).
   [[nodiscard]] std::string Serialize() const;
   /// Rebuild from Serialize() output. Fails closed: returns false on any

@@ -74,10 +74,10 @@ TEST(FleetSummaryCodec, RoundTripPreservesEveryDistribution) {
   }
 }
 
-TEST(FleetSummaryCodec, V1BlobWithoutCountryTableStillLoads) {
-  // FLS1 checkpoints predate the per-country capacity table; a resume of an
-  // old fleet run must reload the nine sketches and simply recompute the
-  // regional breakdown.
+TEST(FleetSummaryCodec, V1BlobWithoutCountryTableFailsClosed) {
+  // FLS1 checkpoints predate the per-country capacity table. A resume of an
+  // old fleet run must not restore a summary that lacks it: the blob fails
+  // closed and the caller recomputes the summary, table included.
   FleetSummary original = MakeSummary();
   original.capacity_by_country.clear();
   std::string blob = SerializeFleetSummary(original);
@@ -85,12 +85,11 @@ TEST(FleetSummaryCodec, V1BlobWithoutCountryTableStillLoads) {
   blob[3] = '1';                    // rewrite the magic to FLS1...
   blob.resize(blob.size() - 4);     // ...and drop the empty country count
   FleetSummary loaded;
+  loaded.homes = 7;
   std::string error;
-  ASSERT_TRUE(DeserializeFleetSummary(blob, &loaded, &error)) << error;
-  EXPECT_EQ(loaded.homes, original.homes);
-  EXPECT_EQ(loaded.rows, original.rows);
-  EXPECT_EQ(loaded.flow_kbytes.count(), original.flow_kbytes.count());
-  EXPECT_TRUE(loaded.capacity_by_country.empty());
+  EXPECT_FALSE(DeserializeFleetSummary(blob, &loaded, &error));
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+  EXPECT_EQ(loaded.homes, 7u);  // *out untouched
 }
 
 TEST(FleetSummaryCodec, FailsClosedOnMalformedCountryTable) {

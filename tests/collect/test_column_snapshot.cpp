@@ -1,12 +1,15 @@
 // BSMKSNAP v3 columnar snapshots: exact round-trips (string edge cases
 // included), kind-selective reads proven through the I/O seam, fail-closed
-// behaviour under bit flips and truncation, and bit-identical parallel
-// analysis at any worker count.
+// behaviour under bit flips, truncation and schema drift, and a fleet
+// summary that is bit-identical at any worker count and within its rank
+// error of the exact quantiles.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "analysis/fleet.h"
 #include "collect/column_snapshot.h"
 #include "collect/repository.h"
+#include "core/crc32c.h"
 #include "core/io.h"
 #include "core/rng.h"
 
@@ -353,17 +357,111 @@ TEST_F(ColumnSnapshotTest, DamagedMetaFailsClosed) {
   EXPECT_FALSE(IsColumnSnapshotDir(dir));
 }
 
-// --- parallel analysis determinism ------------------------------------------
+// --- fail closed: schema drift ----------------------------------------------
+
+/// Write a snapshot of Populate()'s repository, apply `edit` to its meta
+/// body and re-seal the CRC32C trailer, so only the drift checks can refuse
+/// it. Returns the error OpenColumnSnapshot reports ("" if it opened).
+std::string OpenWithEditedMeta(const std::string& dir,
+                               const std::function<void(std::string&)>& edit) {
+  DataRepository repo(WideWindows());
+  Populate(repo);
+  std::string error;
+  if (!SaveColumnSnapshot(repo, dir, &error)) return "save failed: " + error;
+  const fs::path meta = fs::path(dir) / kColumnMetaFile;
+  std::string body;
+  {
+    std::ifstream in(meta, std::ios::binary);
+    body.assign((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  }
+  body.resize(body.size() - 4);  // drop the CRC trailer
+  edit(body);
+  const std::uint32_t crc = core::Crc32c(body.data(), body.size());
+  for (int i = 0; i < 4; ++i) body.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+  std::ofstream(meta, std::ios::binary | std::ios::trunc)
+      .write(body.data(), static_cast<std::streamsize>(body.size()));
+  error.clear();
+  if (OpenColumnSnapshot(dir, &error) != nullptr) return "";
+  return error;
+}
+
+/// Replace the first occurrence of `from` in `body` with the same-length `to`.
+void ReplaceFirst(std::string& body, const std::string& from, const std::string& to) {
+  const std::size_t at = body.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  ASSERT_EQ(from.size(), to.size());
+  body.replace(at, from.size(), to);
+}
+
+TEST_F(ColumnSnapshotTest, RejectsUnsupportedVersion) {
+  // Versions 1 and 2 were single-file row snapshots; neither is read.
+  const std::string error = OpenWithEditedMeta(snap_dir("v2"), [](std::string& body) {
+    body[sizeof(kSnapshotMagic)] = 2;
+  });
+  EXPECT_EQ(error, "snapshot: unsupported version 2 (want 3)");
+}
+
+TEST_F(ColumnSnapshotTest, RejectsKindNameDrift) {
+  const std::string error = OpenWithEditedMeta(snap_dir("kind"), [](std::string& body) {
+    ReplaceFirst(body, "wifi_scan", "wifi_scam");
+  });
+  EXPECT_EQ(error,
+            "snapshot: kind name mismatch: snapshot has 'wifi_scam', build has 'wifi_scan'");
+}
+
+TEST_F(ColumnSnapshotTest, RejectsFieldNameDrift) {
+  const std::string error = OpenWithEditedMeta(snap_dir("field"), [](std::string& body) {
+    ReplaceFirst(body, "down_bps", "down_bpz");
+  });
+  EXPECT_EQ(error, "snapshot: field name mismatch for capacity");
+}
+
+TEST_F(ColumnSnapshotTest, MissingDirectoryFailsClosed) {
+  std::string error;
+  EXPECT_EQ(OpenColumnSnapshot(snap_dir("never-written"), &error), nullptr);
+  EXPECT_NE(error.find("snapshot: "), std::string::npos) << error;
+  EXPECT_FALSE(IsColumnSnapshotDir(snap_dir("never-written")));
+}
+
+// --- fleet summary: determinism and accuracy --------------------------------
+
+/// quantile(q) must be a sample element whose rank range lies within
+/// eps * n (+1 for rank discretisation) of q * n.
+void ExpectWithinRankError(const char* name, const QuantileSketch& sketch,
+                           std::vector<double> exact) {
+  ASSERT_EQ(sketch.count(), exact.size()) << name;
+  EXPECT_EQ(sketch.eps(), 0.005) << name << ": eps must not grow";
+  std::sort(exact.begin(), exact.end());
+  const double n = static_cast<double>(exact.size());
+  for (const double q : {0.10, 0.50, 0.90, 0.99}) {
+    const double v = sketch.quantile(q);
+    const auto lo = std::lower_bound(exact.begin(), exact.end(), v);
+    const auto hi = std::upper_bound(exact.begin(), exact.end(), v);
+    ASSERT_NE(lo, hi) << name << " p" << q * 100 << " = " << v << " is not a sample";
+    const double r_lo = static_cast<double>(lo - exact.begin()) + 1.0;
+    const double r_hi = static_cast<double>(hi - exact.begin());
+    const double target = q * n;
+    const double dist = target < r_lo ? r_lo - target : (target > r_hi ? target - r_hi : 0.0);
+    EXPECT_LE(dist, sketch.eps() * n + 1.0)
+        << name << " p" << q * 100 << " = " << v << " has rank [" << r_lo << ", " << r_hi
+        << "], target " << target;
+  }
+}
 
 TEST_F(ColumnSnapshotTest, ParallelAnalyzeIsBitIdenticalAcrossWorkerCounts) {
-  // Enough capacity rows to span multiple stripes would need 64Ki+ rows;
-  // what matters here is that the per-(kind,stripe) partials merge in
-  // stripe order regardless of which worker ran them, so worker counts
-  // 1/2/4 must serialize to byte-identical summaries.
+  // Capacity and wifi span several stripes each, so a summary that folded
+  // per-stripe partials would drift from the serial scan. The column
+  // summary at 1/2/4 workers must serialize exactly like the resident
+  // repository's, and every printed percentile must be within eps * n of
+  // the exact order statistic.
+  constexpr int kHomes = 30;
+  constexpr int kRowsPerHome = 2300;  // 69k rows per kind: 2 stripes
+  static_assert(kHomes * kRowsPerHome > static_cast<int>(kColumnStripeRows));
   DataRepository repo(WideWindows());
   Rng rng(20131023);
   static const char* kCountries[] = {"US", "BR", "IN"};
-  for (int h = 0; h < 30; ++h) {
+  std::vector<double> down, up, aps, clients;
+  for (int h = 0; h < kHomes; ++h) {
     HomeInfo info;
     info.id = HomeId{h};
     info.country_code = kCountries[h % 3];
@@ -371,13 +469,19 @@ TEST_F(ColumnSnapshotTest, ParallelAnalyzeIsBitIdenticalAcrossWorkerCounts) {
     info.reports_devices = true;
     repo.register_home(info);
     repo.add(HeartbeatRun{HomeId{h}, TimePoint{0}, TimePoint{0} + Days(30)});
-    for (int i = 0; i < 40; ++i) {
-      repo.add(CapacityRecord{HomeId{h}, TimePoint{1000 * i},
-                              Mbps(rng.lognormal(2.5, 0.8)), Mbps(rng.lognormal(1.0, 0.7))});
+    for (int i = 0; i < kRowsPerHome; ++i) {
+      const CapacityRecord cap{HomeId{h}, TimePoint{1000 * i}, Mbps(rng.lognormal(2.5, 0.8)),
+                               Mbps(rng.lognormal(1.0, 0.7))};
+      down.push_back(cap.downstream.mbps());
+      up.push_back(cap.upstream.mbps());
+      repo.add(cap);
       WifiScanRecord scan;
       scan.home = HomeId{h};
       scan.scanned = TimePoint{2000 * i};
-      scan.visible_aps = static_cast<int>(rng.uniform_int(0, 20));
+      scan.visible_aps = static_cast<int>(rng.uniform_int(0, 40));
+      scan.associated_clients = static_cast<int>(rng.uniform_int(0, 7));
+      aps.push_back(scan.visible_aps);
+      clients.push_back(scan.associated_clients);
       repo.add(scan);
     }
   }
@@ -387,21 +491,27 @@ TEST_F(ColumnSnapshotTest, ParallelAnalyzeIsBitIdenticalAcrossWorkerCounts) {
   ASSERT_TRUE(SaveColumnSnapshot(repo, dir, &error)) << error;
   const auto loaded = OpenColumnSnapshot(dir, &error);
   ASSERT_NE(loaded, nullptr) << error;
+  const auto& snap = *loaded->columns();
+  ASSERT_GE(snap.stripes_of_kind(kRecordIndexOf<CapacityRecord>), 2u);
+  ASSERT_GE(snap.stripes_of_kind(kRecordIndexOf<WifiScanRecord>), 2u);
 
-  const std::string one =
-      analysis::SerializeFleetSummary(analysis::SummarizeFleet(*loaded, 1));
-  const std::string two =
-      analysis::SerializeFleetSummary(analysis::SummarizeFleet(*loaded, 2));
-  const std::string four =
-      analysis::SerializeFleetSummary(analysis::SummarizeFleet(*loaded, 4));
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, four);
+  const std::string resident = analysis::SerializeFleetSummary(analysis::SummarizeFleet(repo));
+  for (const std::size_t workers : {1, 2, 4}) {
+    // EXPECT_TRUE, not EXPECT_EQ: a mismatch would dump two ~100 KB blobs.
+    EXPECT_TRUE(analysis::SerializeFleetSummary(analysis::SummarizeFleet(*loaded, workers)) ==
+                resident)
+        << workers << " workers";
+  }
 
   analysis::FleetSummary summary;
-  ASSERT_TRUE(analysis::DeserializeFleetSummary(one, &summary, &error)) << error;
+  ASSERT_TRUE(analysis::DeserializeFleetSummary(resident, &summary, &error)) << error;
+  ExpectWithinRankError("capacity down", summary.capacity_down_mbps, down);
+  ExpectWithinRankError("capacity up", summary.capacity_up_mbps, up);
+  ExpectWithinRankError("visible APs", summary.visible_aps, aps);
+  ExpectWithinRankError("assoc clients", summary.associated_clients, clients);
   ASSERT_EQ(summary.capacity_by_country.size(), 3u);
   EXPECT_EQ(summary.capacity_by_country.at("US").homes, 10u);
-  EXPECT_EQ(summary.capacity_by_country.at("BR").down_mbps.count(), 400u);
+  EXPECT_EQ(summary.capacity_by_country.at("BR").down_mbps.count(), 10u * kRowsPerHome);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Corruption property suite (DESIGN §12): random bit flips and truncations
-// over segment files and binary snapshots must always be *detected* — reads
-// fail closed with a diagnostic, never return silently wrong rows — and a
-// quarantined spill directory must be usable again after recovery re-runs
-// the dropped shards.
+// over segment files must always be *detected* — reads fail closed with a
+// diagnostic, never return silently wrong rows — and a quarantined spill
+// directory must be usable again after recovery re-runs the dropped shards.
+// The columnar snapshot's own fuzz and truncation cases live in
+// test_column_snapshot.cpp.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -16,7 +17,6 @@
 
 #include "collect/manifest.h"
 #include "collect/repository.h"
-#include "collect/snapshot.h"
 #include "core/rng.h"
 
 namespace bismark::collect {
@@ -191,54 +191,6 @@ TEST(CorruptionFuzz, SegmentTruncationAlwaysDetected) {
   Dump(seg, clean);
   ASSERT_NO_FATAL_FAILURE(ReadEverything(*repo));
   fs::remove_all(dir);
-}
-
-TEST(CorruptionFuzz, SnapshotBitFlipsAlwaysRejected) {
-  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
-  DataRepository repo(w);
-  RegisterHomes(repo);
-  {
-    IngestBatch batch = repo.make_batch();
-    for (int h = 0; h < kHomes; ++h) EmitHome(batch, w, h);
-    repo.commit(std::move(batch));
-  }
-  repo.finalize_deterministic_order();
-
-  std::stringstream buf;
-  std::string error;
-  ASSERT_TRUE(SaveSnapshot(repo, buf, &error)) << error;
-  const std::string clean = buf.str();
-
-  Rng rng(7);
-  for (int trial = 0; trial < 48; ++trial) {
-    const auto byte = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(clean.size()) - 1));
-    const int bit = static_cast<int>(rng.uniform_int(0, 7));
-    std::string bent = clean;
-    bent[byte] = static_cast<char>(bent[byte] ^ (1 << bit));
-    std::stringstream in(bent);
-    std::string why;
-    EXPECT_EQ(LoadSnapshot(in, &why), nullptr)
-        << "flip at byte " << byte << " bit " << bit << " loaded silently";
-    EXPECT_FALSE(why.empty());
-  }
-
-  // Truncation sweep: every proper prefix must be rejected too.
-  std::set<std::size_t> cuts = {0, 1, 7, 8, 11, 12, 15, clean.size() / 2,
-                                clean.size() - 5, clean.size() - 4,
-                                clean.size() - 1};
-  for (int trial = 0; trial < 16; ++trial) {
-    cuts.insert(static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(clean.size()) - 1)));
-  }
-  for (const std::size_t cut : cuts) {
-    std::stringstream in(clean.substr(0, cut));
-    std::string why;
-    EXPECT_EQ(LoadSnapshot(in, &why), nullptr) << "prefix of " << cut << " bytes";
-  }
-
-  std::stringstream ok(clean);
-  EXPECT_NE(LoadSnapshot(ok, &error), nullptr) << error;
 }
 
 TEST(CorruptionFuzz, RecoveredDirectoryIsUsableAfterQuarantine) {

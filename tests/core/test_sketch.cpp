@@ -1,7 +1,7 @@
 // Property tests for the streaming quantile estimators: the GK sketch's
-// rank-error guarantee against exact order statistics, merge error
-// budgeting, batched inserts that match one-at-a-time inserts bit for bit,
-// and the P² single-quantile estimator on smooth input.
+// rank-error guarantee against exact order statistics, batched inserts that
+// match one-at-a-time inserts bit for bit, and the P² single-quantile
+// estimator on smooth input.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -100,22 +100,6 @@ TEST(QuantileSketch, SketchStaysSublinear) {
   // O((1/eps) log(eps n)) tuples: generous ceiling far below the stream.
   EXPECT_LT(sketch.tuples(), 4000u);
   EXPECT_EQ(sketch.count(), 200000u);
-}
-
-TEST(QuantileSketch, MergeKeepsSummedErrorBudget) {
-  Rng rng(7005);
-  QuantileSketch a(0.005);
-  QuantileSketch b(0.005);
-  std::vector<double> data;
-  for (int i = 0; i < 40000; ++i) {
-    const double v = rng.exponential(10.0);
-    data.push_back(v);
-    (i % 2 ? a : b).add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), data.size());
-  // Merging same-eps sketches doubles the rank tolerance (eps_a + eps_b).
-  ExpectWithinRankError(a, data, 0.011);
 }
 
 TEST(QuantileSketch, MinMaxExact) {
@@ -346,25 +330,6 @@ TEST(QuantileSketch, RoundTripWithPendingAddsContinuesIdentically) {
     }
     EXPECT_EQ(loaded.Serialize(), sketch.Serialize());
   }
-}
-
-TEST(QuantileSketch, MergeSettlesPendingAddsOnBothSides) {
-  Rng rng(7021);
-  QuantileSketch a(0.005), b(0.005);
-  std::vector<double> data;
-  for (int i = 0; i < 10037; ++i) {  // neither side ends on a batch boundary
-    const double v = rng.exponential(10.0);
-    data.push_back(v);
-    (i % 3 ? a : b).add(v);
-  }
-  QuantileSketch settled_b;
-  ASSERT_TRUE(QuantileSketch::Deserialize(b.Serialize(), &settled_b));
-  QuantileSketch a_copy = a;
-  a.merge(b);
-  a_copy.merge(settled_b);
-  EXPECT_EQ(a.Serialize(), a_copy.Serialize());
-  EXPECT_EQ(a.count(), data.size());
-  ExpectWithinRankError(a, data, 0.011);
 }
 
 TEST(QuantileSketch, ConstQueriesWithPendingAddsDoNotMutate) {

@@ -2,13 +2,13 @@
 //
 //   bismark_study run      --seed 42 --weeks 8 [--no-traffic] [--export DIR]
 //   bismark_study report   --seed 42 [--weeks N]     # paper-style digest
-//   bismark_study analyze  <release-dir>             # from released CSVs
+//   bismark_study analyze  <release-dir|snapshot-dir>
 //   bismark_study --help
 //
 // `run` simulates a deployment and prints dataset volumes; `report` adds
 // the Section 4-6 headline numbers; `analyze` consumes a directory written
 // by `run --export` (or examples/world_deployment) using only the public
-// CSVs.
+// CSVs, or a columnar snapshot written by `run --snapshot-out`.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,7 +28,6 @@
 #include "collect/export.h"
 #include "collect/import.h"
 #include "collect/manifest.h"
-#include "collect/snapshot.h"
 #include "core/args.h"
 #include "core/io.h"
 #include "core/table.h"
@@ -333,8 +332,7 @@ int CmdReport(const ArgParser& args) {
 
 int CmdAnalyze(const ArgParser& args) {
   if (args.positional().size() < 2) {
-    std::fprintf(stderr,
-                 "usage: bismark_study analyze <release-dir|snapshot-file|snapshot-dir>\n");
+    std::fprintf(stderr, "usage: bismark_study analyze <release-dir|snapshot-dir>\n");
     return 2;
   }
   const std::string path = args.positional()[1];
@@ -343,8 +341,7 @@ int CmdAnalyze(const ArgParser& args) {
                                   ? static_cast<std::size_t>(workers_arg)
                                   : static_cast<std::size_t>(ThreadPool::HardwareWorkers());
 
-  // A columnar snapshot directory maps per-kind segments lazily; a regular
-  // file is a v1/v2 binary snapshot (homes and windows included); any other
+  // A columnar snapshot directory maps per-kind segments lazily; any other
   // directory is a public CSV release that needs bare home registration.
   std::unique_ptr<collect::DataRepository> repo;
   if (collect::IsColumnSnapshotDir(path)) {
@@ -356,15 +353,11 @@ int CmdAnalyze(const ArgParser& args) {
     }
     std::printf("opened columnar snapshot %s (%zu rows, %zu homes)\n", path.c_str(),
                 repo->total_rows(), repo->homes().size());
-  } else if (std::filesystem::is_regular_file(path)) {
-    std::string error;
-    repo = collect::LoadSnapshotFile(path, &error);
-    if (!repo) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("loaded snapshot %s (%zu rows, %zu homes)\n", path.c_str(),
-                repo->total_rows(), repo->homes().size());
+  } else if (!std::filesystem::is_directory(path)) {
+    std::fprintf(stderr,
+                 "error: %s: not a columnar snapshot directory or CSV release directory\n",
+                 path.c_str());
+    return 2;
   } else {
     repo = std::make_unique<collect::DataRepository>(collect::DatasetWindows::Paper());
     const auto report = collect::ImportPublicDatasets(*repo, path);
@@ -391,8 +384,8 @@ int CmdAnalyze(const ArgParser& args) {
   std::printf("downtimes/day: %s\n", Summarize(downtimes).c_str());
   std::printf("devices/home: %s\n", Summarize(analysis::UniqueDevicesCdf(*repo)).c_str());
   if (repo->column_backed()) {
-    // Per-stripe parallel sketch pass: bit-identical for any --workers
-    // (partials merge in stripe index order).
+    // Kind-parallel sketch passes: bit-identical for any --workers and to
+    // the summary `run` printed for the same rows.
     analysis::WriteFleetSummary(analysis::SummarizeFleet(*repo, workers), std::cout);
   }
   return 0;
