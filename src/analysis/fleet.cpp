@@ -1,14 +1,14 @@
 #include "analysis/fleet.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <iomanip>
 #include <ostream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "collect/binio.h"
+#include "core/binio.h"
 #include "core/thread_pool.h"
 
 namespace bismark::analysis {
@@ -233,7 +233,7 @@ void ForEachSketch(S& summary, Fn&& fn) {
 }  // namespace
 
 std::string SerializeFleetSummary(const FleetSummary& summary) {
-  collect::BinWriter w;
+  BinWriter w;
   w.raw(kSummaryMagic, sizeof(kSummaryMagic));
   w.u64(static_cast<std::uint64_t>(summary.homes));
   w.u64(summary.rows);
@@ -254,10 +254,8 @@ bool DeserializeFleetSummary(const std::string& blob, FleetSummary* out,
     if (error) *error = "fleet summary: " + reason;
     return false;
   };
-  collect::BinReader r(blob.data(), blob.size());
-  char magic[sizeof(kSummaryMagic)] = {};
-  for (auto& c : magic) c = static_cast<char>(r.u8());
-  if (r.failed() || std::memcmp(magic, kSummaryMagic, sizeof(magic)) != 0) {
+  BinReader r(blob.data(), blob.size());
+  if (r.raw(sizeof(kSummaryMagic)) != std::string_view(kSummaryMagic, sizeof(kSummaryMagic))) {
     return fail("bad magic");
   }
   FleetSummary summary;

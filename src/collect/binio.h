@@ -1,15 +1,17 @@
-// Shared little-endian binary codec for record persistence.
+// Record-level binary codec (DESIGN §9): the FieldCodec entries for the
+// collect layer's value types, and the row codec built on them.
 //
-// One writer/reader pair serves the fleet-scale spill segments
-// (collect/spill.h), whose rows derive from the schema layer, and the
-// BSMKSNAP meta file (collect/column_snapshot.h). The `value()` overload
-// set is the single list of serialisable member types; a record field of a
-// new type fails to compile in the spill format until an overload is added
-// here.
+// core/binio.h holds the little-endian primitives, BinWriter/BinReader and
+// FieldCodec for core's types. This header adds the codecs of the record
+// member types that live outside core (HomeId, FlowId, MacAddress and the
+// enums) and of DatasetWindows. A record field of a new type fails to
+// compile — in the spill rows and the column sections alike — until its
+// FieldCodec is added here.
 //
-// All integers are encoded little-endian byte-by-byte, independent of host
-// endianness. Strings are u32-length-prefixed. Doubles are IEEE-754 bit
-// patterns in a u64.
+// EncodeRow writes a row field by field in Schema<T>::Fields() order; a
+// spill section body is a sequence of AppendSpillRow payloads (u32 length,
+// then the EncodeRow bytes), so cursors can frame rows without knowing the
+// schema.
 #pragma once
 
 #include <array>
@@ -18,141 +20,75 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <type_traits>
 
 #include "collect/schema.h"
+#include "core/binio.h"
+
+namespace bismark {
+
+template <>
+struct FieldCodec<collect::HomeId> : BitCodec<collect::HomeId, std::uint32_t> {};
+template <>
+struct FieldCodec<net::FlowId> : BitCodec<net::FlowId, std::uint64_t> {};
+template <>
+struct FieldCodec<net::Protocol> : BitCodec<net::Protocol, std::uint8_t> {};
+template <>
+struct FieldCodec<net::VendorClass> : BitCodec<net::VendorClass, std::uint32_t> {};
+
+/// An int-backed enum stored in one byte.
+template <>
+struct FieldCodec<wireless::Band> {
+  static constexpr std::uint32_t kWidth = 1;
+  [[nodiscard]] static wireless::Band Load(const char* p) {
+    return static_cast<wireless::Band>(static_cast<std::uint8_t>(*p));
+  }
+  static void Store(std::string& out, wireless::Band v) {
+    out.push_back(static_cast<char>(static_cast<std::uint8_t>(v)));
+  }
+};
+
+/// The six octets in transmission order.
+template <>
+struct FieldCodec<net::MacAddress> {
+  static constexpr std::uint32_t kWidth = 6;
+  [[nodiscard]] static net::MacAddress Load(const char* p) {
+    std::array<std::uint8_t, 6> octets{};
+    std::memcpy(octets.data(), p, octets.size());
+    return net::MacAddress(octets);
+  }
+  static void Store(std::string& out, net::MacAddress v) {
+    const auto octets = v.octets();
+    out.append(reinterpret_cast<const char*>(octets.data()), octets.size());
+  }
+};
+
+/// The six data-set windows in Table 2 order.
+template <>
+struct FieldCodec<collect::DatasetWindows> {
+  using W = collect::DatasetWindows;
+  static constexpr std::array<Interval W::*, 6> kMembers{&W::heartbeats, &W::uptime,
+                                                         &W::capacity,   &W::devices,
+                                                         &W::wifi,       &W::traffic};
+  static constexpr std::uint32_t kWidth = kMembers.size() * FieldCodec<Interval>::kWidth;
+  [[nodiscard]] static W Load(const char* p) {
+    W w;
+    for (const auto member : kMembers) {
+      w.*member = FieldCodec<Interval>::Load(p);
+      p += FieldCodec<Interval>::kWidth;
+    }
+    return w;
+  }
+  static void Store(std::string& out, const W& w) {
+    for (const auto member : kMembers) FieldCodec<Interval>::Store(out, w.*member);
+  }
+};
+
+}  // namespace bismark
 
 namespace bismark::collect {
 
-class BinWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) { fixed(v); }
-  void u32(std::uint32_t v) { fixed(v); }
-  void u64(std::uint64_t v) { fixed(v); }
-  void i32(std::int32_t v) { fixed(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { fixed(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    fixed(bits);
-  }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s);
-  }
-  void raw(const char* data, std::size_t n) { buf_.append(data, n); }
-
-  // Field-value overloads, one per reflected member type.
-  void value(bool v) { u8(v ? 1 : 0); }
-  void value(int v) { i32(v); }
-  void value(std::uint16_t v) { u16(v); }
-  void value(std::uint64_t v) { u64(v); }
-  void value(double v) { f64(v); }
-  void value(const std::string& v) { str(v); }
-  void value(HomeId v) { i32(v.value); }
-  void value(TimePoint v) { i64(v.ms); }
-  void value(Duration v) { i64(v.ms); }
-  void value(Bytes v) { i64(v.count); }
-  void value(BitRate v) { f64(v.bps); }
-  void value(net::FlowId v) { u64(v.value); }
-  void value(net::MacAddress v) {
-    for (const auto octet : v.octets()) u8(octet);
-  }
-  void value(net::Protocol v) { u8(static_cast<std::uint8_t>(v)); }
-  void value(wireless::Band v) { u8(static_cast<std::uint8_t>(v)); }
-  void value(net::VendorClass v) { i32(static_cast<int>(v)); }
-
-  [[nodiscard]] const std::string& buffer() const { return buf_; }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  void clear() { buf_.clear(); }
-
- private:
-  template <typename U>
-  void fixed(U v) {
-    for (std::size_t i = 0; i < sizeof(U); ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  std::string buf_;
-};
-
-class BinReader {
- public:
-  BinReader(const char* data, std::size_t size) : p_(data), end_(data + size) {}
-
-  [[nodiscard]] bool failed() const { return failed_; }
-  [[nodiscard]] bool at_end() const { return p_ == end_; }
-
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return static_cast<std::uint8_t>(*p_++);
-  }
-  std::uint16_t u16() { return fixed<std::uint16_t>(); }
-  std::uint32_t u32() { return fixed<std::uint32_t>(); }
-  std::uint64_t u64() { return fixed<std::uint64_t>(); }
-  std::int32_t i32() { return static_cast<std::int32_t>(fixed<std::uint32_t>()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(fixed<std::uint64_t>()); }
-  double f64() {
-    const std::uint64_t bits = fixed<std::uint64_t>();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!need(n)) return {};
-    std::string s(p_, n);
-    p_ += n;
-    return s;
-  }
-
-  void value(bool& v) { v = u8() != 0; }
-  void value(int& v) { v = i32(); }
-  void value(std::uint16_t& v) { v = u16(); }
-  void value(std::uint64_t& v) { v = u64(); }
-  void value(double& v) { v = f64(); }
-  void value(std::string& v) { v = str(); }
-  void value(HomeId& v) { v.value = i32(); }
-  void value(TimePoint& v) { v.ms = i64(); }
-  void value(Duration& v) { v.ms = i64(); }
-  void value(Bytes& v) { v.count = i64(); }
-  void value(BitRate& v) { v.bps = f64(); }
-  void value(net::MacAddress& v) {
-    std::array<std::uint8_t, 6> octets{};
-    for (auto& octet : octets) octet = u8();
-    v = net::MacAddress(octets);
-  }
-  void value(net::FlowId& v) { v.value = u64(); }
-  void value(net::Protocol& v) { v = static_cast<net::Protocol>(u8()); }
-  void value(wireless::Band& v) { v = static_cast<wireless::Band>(u8()); }
-  void value(net::VendorClass& v) { v = static_cast<net::VendorClass>(i32()); }
-
- private:
-  template <typename U>
-  U fixed() {
-    if (!need(sizeof(U))) return 0;
-    U v = 0;
-    for (std::size_t i = 0; i < sizeof(U); ++i) {
-      v |= static_cast<U>(static_cast<std::uint8_t>(p_[i])) << (8 * i);
-    }
-    p_ += sizeof(U);
-    return v;
-  }
-  bool need(std::size_t n) {
-    if (failed_ || static_cast<std::size_t>(end_ - p_) < n) {
-      failed_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-  bool failed_{false};
-};
-
-/// Encode one row field-by-field in Schema<T>::Fields() order (the row
-/// layout both the snapshot body and spill sections use).
+/// Encode one row field by field in Schema<T>::Fields() order.
 template <typename T>
 void EncodeRow(BinWriter& w, const T& row) {
   std::apply([&w, &row](const auto&... field) { (w.value(row.*(field.member)), ...); },
@@ -163,6 +99,15 @@ template <typename T>
 void DecodeRow(BinReader& r, T& row) {
   std::apply([&r, &row](const auto&... field) { (r.value(row.*(field.member)), ...); },
              Schema<T>::Fields());
+}
+
+/// Append one spill-section row: a u32 byte length, then EncodeRow.
+template <typename T>
+void AppendSpillRow(BinWriter& w, const T& row) {
+  const std::size_t at = w.size();
+  w.u32(0);
+  EncodeRow(w, row);
+  w.patch_u32(at, static_cast<std::uint32_t>(w.size() - at - 4));
 }
 
 /// Approximate in-memory footprint of one row: the struct itself plus any

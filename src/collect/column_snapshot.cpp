@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "collect/binio.h"
+#include "collect/frame.h"
 #include "core/crc32c.h"
 #include "core/thread_pool.h"
 
@@ -14,58 +15,20 @@ namespace bismark::collect {
 
 namespace {
 
-using coldetail::LoadLe;
-using coldetail::StoreLe;
-
-// Meta-file framing for the windows and the home roster.
-
-void PutInterval(BinWriter& w, const Interval& ival) {
-  w.i64(ival.start.ms);
-  w.i64(ival.end.ms);
-}
-
-Interval GetInterval(BinReader& r) {
-  Interval ival;
-  ival.start.ms = r.i64();
-  ival.end.ms = r.i64();
-  return ival;
-}
-
-void PutHome(BinWriter& w, const HomeInfo& h) {
-  w.i32(h.id.value);
-  w.str(h.country_code);
-  w.value(h.developed);
-  w.i64(h.utc_offset.ms);
-  w.value(h.reports_uptime);
-  w.value(h.reports_devices);
-  w.value(h.reports_wifi);
-  w.value(h.consented_traffic);
-  w.value(h.has_always_wired);
-  w.value(h.has_always_wireless);
-  w.f64(h.true_down_mbps);
-  w.f64(h.true_up_mbps);
-  w.i32(h.power_mode);
-}
-
-HomeInfo GetHome(BinReader& r) {
-  HomeInfo h;
-  h.id.value = r.i32();
-  h.country_code = r.str();
-  r.value(h.developed);
-  h.utc_offset.ms = r.i64();
-  r.value(h.reports_uptime);
-  r.value(h.reports_devices);
-  r.value(h.reports_wifi);
-  r.value(h.consented_traffic);
-  r.value(h.has_always_wired);
-  r.value(h.has_always_wireless);
-  h.true_down_mbps = r.f64();
-  h.true_up_mbps = r.f64();
-  h.power_mode = r.i32();
-  return h;
-}
-
 [[noreturn]] void Throw(const std::string& why) { throw std::runtime_error("snapshot: " + why); }
+
+/// The frame of field `field`'s section in stripe `stripe`, as the meta
+/// table describes it.
+Frame FrameOf(const ColumnSectionMeta& sec, std::size_t field, std::size_t stripe,
+              std::uint64_t rows) {
+  return Frame{kColumnSectionMagic,
+               {static_cast<std::uint32_t>(field), static_cast<std::uint32_t>(stripe),
+                sec.encoding},
+               rows,
+               sec.body_bytes,
+               sec.crc,
+               kColumnSectionEndMagic};
+}
 
 /// One stripe's worth of buffered columns for kind T. `primary` holds the
 /// raw fixed-width values (or the u32 cumulative end offsets for string
@@ -91,11 +54,11 @@ struct StripeBuilder {
   void add_field(std::size_t f, const V& v) {
     if constexpr (std::is_same_v<V, std::string>) {
       blob[f].append(v);
-      StoreLe<4>(primary[f], static_cast<std::uint32_t>(blob[f].size()));
+      AppendLe(primary[f], static_cast<std::uint32_t>(blob[f].size()));
       bytes += v.size() + 4;
     } else {
-      ColumnCodec<V>::Store(primary[f], v);
-      bytes += ColumnCodec<V>::kWidth;
+      FieldCodec<V>::Store(primary[f], v);
+      bytes += FieldCodec<V>::kWidth;
     }
   }
 
@@ -107,32 +70,20 @@ struct StripeBuilder {
     sm.rows = rows;
     const auto encodings = ColumnEncodings<T>();
     for (std::size_t f = 0; f < kNumFields; ++f) {
-      std::string head;
-      StoreLe<4>(head, kColumnSectionMagic);
-      StoreLe<4>(head, static_cast<std::uint32_t>(f));
-      StoreLe<4>(head, static_cast<std::uint32_t>(stripe_index));
-      StoreLe<4>(head, encodings[f]);
-      file.write(head);
-      offset += head.size();
-
       ColumnSectionMeta sec;
-      sec.body_offset = offset;
+      sec.body_offset = offset + kFrameHeaderBytes;
       sec.body_bytes = primary[f].size() + blob[f].size();
       sec.encoding = encodings[f];
-      std::uint32_t crc = core::Crc32c(primary[f].data(), primary[f].size());
-      crc = core::Crc32c(blob[f].data(), blob[f].size(), crc);
-      sec.crc = crc;
+      sec.crc = core::Crc32c(blob[f].data(), blob[f].size(),
+                             core::Crc32c(primary[f].data(), primary[f].size()));
+      const Frame frame = FrameOf(sec, f, stripe_index, rows);
+      const auto header = FrameHeader(frame);
+      const auto footer = FrameFooter(frame);
+      file.write(header.data(), header.size());
       file.write(primary[f]);
       file.write(blob[f]);
-      offset += sec.body_bytes;
-
-      std::string foot;
-      StoreLe<8>(foot, rows);
-      StoreLe<8>(foot, sec.body_bytes);
-      StoreLe<4>(foot, crc);
-      StoreLe<4>(foot, kColumnSectionEndMagic);
-      file.write(foot);
-      offset += foot.size();
+      file.write(footer.data(), footer.size());
+      offset = sec.body_offset + sec.body_bytes + footer.size();
 
       const std::size_t pad = (8 - (offset % 8)) % 8;
       if (pad != 0) {
@@ -164,10 +115,10 @@ ColumnKindMeta WriteKindColumns(const DataRepository& repo, const std::string& d
   if (!file.open(dir + "/" + meta.file)) Throw(file.error());
 
   std::string header;
-  StoreLe<4>(header, kColumnFileMagic);
-  StoreLe<4>(header, static_cast<std::uint32_t>(kRecordIndexOf<T>));
-  StoreLe<4>(header, static_cast<std::uint32_t>(TableView<T>::kNumFields));
-  StoreLe<4>(header, 0);
+  AppendLe(header, kColumnFileMagic);
+  AppendLe(header, static_cast<std::uint32_t>(kRecordIndexOf<T>));
+  AppendLe(header, static_cast<std::uint32_t>(TableView<T>::kNumFields));
+  AppendLe(header, std::uint32_t{0});
   file.write(header);
   std::uint64_t offset = header.size();
 
@@ -217,15 +168,9 @@ bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
   BinWriter w;
   w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
   w.u32(kColumnSnapshotVersion);
-  const DatasetWindows& windows = repo.windows();
-  PutInterval(w, windows.heartbeats);
-  PutInterval(w, windows.uptime);
-  PutInterval(w, windows.capacity);
-  PutInterval(w, windows.devices);
-  PutInterval(w, windows.wifi);
-  PutInterval(w, windows.traffic);
+  w.value(repo.windows());
   w.u32(static_cast<std::uint32_t>(repo.homes().size()));
-  for (const HomeInfo& home : repo.homes()) PutHome(w, home);
+  for (const HomeInfo& home : repo.homes()) EncodeHome(w, home);
   w.u32(static_cast<std::uint32_t>(kRecordKinds));
   ForEachRecordType([&](auto tag) {
     using T = typename decltype(tag)::type;
@@ -254,7 +199,7 @@ bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
   if (!file.open(dir + "/" + kColumnMetaFile)) return fail(file.error());
   file.write(w.buffer());
   std::string trailer;
-  StoreLe<4>(trailer, crc);
+  AppendLe(trailer, crc);
   file.write(trailer);
   if (!file.sync() || !file.close()) return fail(file.error());
   return true;
@@ -285,13 +230,13 @@ std::shared_ptr<const ColumnSnapshot> ColumnSnapshot::Open(const std::string& di
   }
   constexpr std::size_t kHeaderBytes = sizeof(kSnapshotMagic) + sizeof(std::uint32_t);
   if (size < kHeaderBytes + sizeof(std::uint32_t)) return fail("truncated meta file");
-  const std::uint32_t version = static_cast<std::uint32_t>(LoadLe<4>(data + sizeof(kSnapshotMagic)));
+  const std::uint32_t version = LoadLe<std::uint32_t>(data + sizeof(kSnapshotMagic));
   if (version != kColumnSnapshotVersion) {
     return fail("unsupported version " + std::to_string(version) + " (want " +
                 std::to_string(kColumnSnapshotVersion) + ")");
   }
   const std::size_t body_bytes = size - sizeof(std::uint32_t);
-  const std::uint32_t stored_crc = static_cast<std::uint32_t>(LoadLe<4>(data + body_bytes));
+  const std::uint32_t stored_crc = LoadLe<std::uint32_t>(data + body_bytes);
   if (stored_crc != core::Crc32c(data, body_bytes)) {
     return fail("meta CRC32C mismatch (snapshot corrupted or truncated)");
   }
@@ -300,18 +245,11 @@ std::shared_ptr<const ColumnSnapshot> ColumnSnapshot::Open(const std::string& di
   snap->dir_ = dir;
 
   BinReader r(data, body_bytes);
-  for (std::size_t i = 0; i < kHeaderBytes; ++i) (void)r.u8();  // magic + version
-
-  snap->windows_.heartbeats = GetInterval(r);
-  snap->windows_.uptime = GetInterval(r);
-  snap->windows_.capacity = GetInterval(r);
-  snap->windows_.devices = GetInterval(r);
-  snap->windows_.wifi = GetInterval(r);
-  snap->windows_.traffic = GetInterval(r);
-
+  (void)r.raw(kHeaderBytes);  // magic + version, checked above
+  r.value(snap->windows_);
   const std::uint32_t home_count = r.u32();
   for (std::uint32_t i = 0; i < home_count && !r.failed(); ++i) {
-    snap->homes_.push_back(GetHome(r));
+    snap->homes_.push_back(DecodeHome(r));
   }
 
   const std::uint32_t kind_count = r.u32();
@@ -419,41 +357,38 @@ void ColumnSnapshot::ensure_kind_open(std::size_t kind) const {
   const std::size_t size = ks.map.size();
 
   if (size < kColumnFileHeaderBytes) Throw("corrupt " + path + ": truncated file header");
-  if (LoadLe<4>(data) != kColumnFileMagic) Throw("corrupt " + path + ": bad file magic");
-  if (LoadLe<4>(data + 4) != kind) Throw("corrupt " + path + ": kind index mismatch");
-  const std::uint64_t field_count = LoadLe<4>(data + 8);
+  if (LoadLe<std::uint32_t>(data) != kColumnFileMagic) {
+    Throw("corrupt " + path + ": bad file magic");
+  }
+  if (LoadLe<std::uint32_t>(data + 4) != kind) Throw("corrupt " + path + ": kind index mismatch");
+  const std::uint64_t field_count = LoadLe<std::uint32_t>(data + 8);
 
   std::uint64_t end = kColumnFileHeaderBytes;
+  std::string why;
   for (std::size_t s = 0; s < ks.meta.stripes.size(); ++s) {
     const ColumnStripeMeta& sm = ks.meta.stripes[s];
     if (sm.sections.size() != field_count) corrupt(s, 0, "field count mismatch");
     for (std::size_t f = 0; f < sm.sections.size(); ++f) {
       const ColumnSectionMeta& sec = sm.sections[f];
-      if (sec.body_offset < kColumnFileHeaderBytes + kColumnSectionHeaderBytes ||
-          sec.body_offset + sec.body_bytes + kColumnSectionFooterBytes > size) {
+      if (sec.body_offset < kColumnFileHeaderBytes + kFrameHeaderBytes ||
+          sec.body_offset + sec.body_bytes + kFrameFooterBytes > size) {
         corrupt(s, f, "section out of bounds (truncated file?)");
       }
-      const char* head = data + sec.body_offset - kColumnSectionHeaderBytes;
-      if (LoadLe<4>(head) != kColumnSectionMagic) corrupt(s, f, "bad section magic");
-      if (LoadLe<4>(head + 4) != f) corrupt(s, f, "field index mismatch");
-      if (LoadLe<4>(head + 8) != s) corrupt(s, f, "stripe index mismatch");
-      if (LoadLe<4>(head + 12) != sec.encoding) corrupt(s, f, "encoding mismatch");
-      const char* foot = data + sec.body_offset + sec.body_bytes;
-      if (LoadLe<8>(foot) != sm.rows) corrupt(s, f, "row count mismatch");
-      if (LoadLe<8>(foot + 8) != sec.body_bytes) corrupt(s, f, "body size mismatch");
-      if (LoadLe<4>(foot + 20) != kColumnSectionEndMagic) corrupt(s, f, "bad end magic");
-      const std::uint32_t crc = core::Crc32c(data + sec.body_offset, sec.body_bytes);
-      if (crc != sec.crc || crc != static_cast<std::uint32_t>(LoadLe<4>(foot + 16))) {
-        corrupt(s, f, "CRC32C mismatch");
+      const Frame want = FrameOf(sec, f, s, sm.rows);
+      const char* body = data + sec.body_offset;
+      if (!CheckFrameHeader(body - kFrameHeaderBytes, want, &why) ||
+          !CheckFrameFooter(body + sec.body_bytes, want, &why) ||
+          !CheckFrameCrc(core::Crc32c(body, sec.body_bytes), want, &why)) {
+        corrupt(s, f, why);
       }
       if (sec.encoding == 0 && sm.rows > 0) {
         // String section: the final cumulative offset must equal the blob
         // length, or views would run off the mapped bytes.
         const std::uint64_t blob_bytes = sec.body_bytes - 4 * sm.rows;
-        const std::uint64_t last = LoadLe<4>(data + sec.body_offset + 4 * (sm.rows - 1));
+        const std::uint64_t last = LoadLe<std::uint32_t>(body + 4 * (sm.rows - 1));
         if (last != blob_bytes) corrupt(s, f, "string offsets inconsistent with blob");
       }
-      std::uint64_t section_end = sec.body_offset + sec.body_bytes + kColumnSectionFooterBytes;
+      std::uint64_t section_end = sec.body_offset + sec.body_bytes + kFrameFooterBytes;
       section_end += (8 - (section_end % 8)) % 8;
       if (section_end > end) end = section_end;
     }

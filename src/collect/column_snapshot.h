@@ -17,16 +17,19 @@
 //   per stripe (up to kStripeRows rows), per field in schema order:
 //     header      u32 magic "CSC3" | u32 field | u32 stripe
 //                 | u32 encoding (fixed width, 0 = string)      16 bytes
-//     body        fixed: rows × width raw LE values
+//     body        fixed: rows × FieldCodec values (little-endian)
 //                 string: rows × u32 cumulative end offsets, then blob
 //     footer      u64 rows | u64 body bytes | u32 CRC32C of body
 //                 | u32 end magic "END3"                        24 bytes
 //     padding     zero bytes to the next 8-byte boundary
 //
-// This is the PR-8 section frame (16-byte header, 24-byte CRC footer)
-// applied per column, so the crash-safety story carries over: the reader
-// verifies every frame and CRC of a kind file against the meta table the
-// first time that kind is touched, and fails closed on any mismatch.
+// Header and footer are the spill segments' section frame
+// (collect/frame.h), written and checked by the same code, so the
+// crash-safety story carries over: the reader verifies every frame and CRC
+// of a kind file against the meta table the first time that kind is
+// touched, and fails closed on any mismatch. The meta file's windows and
+// home roster use the same codecs as the spill manifest (FieldCodec of
+// DatasetWindows, EncodeHome).
 // Readers get the bytes through core::MappedFile — mmap when the kernel
 // grants it, a buffered read otherwise — and every open is recorded in the
 // core::IoReadStats counters, which is how tests prove a single-figure
@@ -60,12 +63,8 @@ inline constexpr char kSnapshotMagic[8] = {'B', 'S', 'M', 'K', 'S', 'N', 'A', 'P
 inline constexpr std::uint32_t kColumnSnapshotVersion = 3;
 inline constexpr char kColumnMetaFile[] = "snapshot.bsmkmeta";
 inline constexpr char kColumnFileSuffix[] = ".bsmkcol";
-inline constexpr std::uint32_t kColumnFileMagic = 0x334C4342;     // "BCL3"
-inline constexpr std::uint32_t kColumnSectionMagic = 0x33435343;  // "CSC3"
-inline constexpr std::uint32_t kColumnSectionEndMagic = 0x33444E45;  // "END3"
+inline constexpr std::uint32_t kColumnFileMagic = 0x334C4342;  // "BCL3"
 inline constexpr std::size_t kColumnFileHeaderBytes = 16;
-inline constexpr std::size_t kColumnSectionHeaderBytes = 16;
-inline constexpr std::size_t kColumnSectionFooterBytes = 24;
 /// Stripe bounds: a stripe closes at this many rows or this much buffered
 /// column data, whichever comes first — the writer's only O(data) state.
 inline constexpr std::uint64_t kColumnStripeRows = 64 * 1024;

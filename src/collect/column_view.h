@@ -4,13 +4,11 @@
 // column sections: fixed-width fields as raw little-endian values packed
 // contiguously, strings as a u32 cumulative-end-offset array followed by
 // one concatenated blob. The view types here sit directly on those mapped
-// bytes — no decode pass, no row materialisation unless asked for:
+// bytes — no decode pass, no row materialisation unless asked for. Values
+// are laid out by FieldCodec<V> (core/binio.h, collect/binio.h), the codec
+// the spill rows and BinWriter use too, so the row and columnar formats
+// cannot drift apart: a section's encoding tag is FieldCodec<V>::kWidth.
 //
-//   ColumnCodec<V>   — per-member-type width + load/store, mirroring the
-//                      BinWriter::value() overload set exactly; a record
-//                      field of a new type fails to compile here until its
-//                      codec is added, so the row and columnar formats
-//                      cannot drift apart.
 //   ColumnView<V>    — typed random access over one fixed-width column.
 //   StringColumnView — string_view access over an offsets+blob column.
 //   TableView<T>     — all of a stripe's columns; row(i) materialises a
@@ -26,206 +24,21 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 
+#include "collect/binio.h"
 #include "collect/schema.h"
 
 namespace bismark::collect {
 
-namespace coldetail {
-
-template <unsigned W>
-[[nodiscard]] inline std::uint64_t LoadLe(const char* p) {
-  std::uint64_t v = 0;
-  for (unsigned i = 0; i < W; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-template <unsigned W>
-inline void StoreLe(std::string& out, std::uint64_t v) {
-  for (unsigned i = 0; i < W; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-}  // namespace coldetail
-
-/// Per-member-type column codec. kWidth is the on-disk bytes per value;
-/// Load reads one value from a column body, Store appends one.
-template <typename V>
-struct ColumnCodec;  // one specialisation per BinWriter::value() overload
-
-template <>
-struct ColumnCodec<bool> {
-  static constexpr std::uint32_t kWidth = 1;
-  static bool Load(const char* p) { return *p != 0; }
-  static void Store(std::string& out, bool v) { out.push_back(v ? 1 : 0); }
-};
-
-template <>
-struct ColumnCodec<int> {
-  static constexpr std::uint32_t kWidth = 4;
-  static int Load(const char* p) {
-    return static_cast<std::int32_t>(static_cast<std::uint32_t>(coldetail::LoadLe<4>(p)));
-  }
-  static void Store(std::string& out, int v) {
-    coldetail::StoreLe<4>(out, static_cast<std::uint32_t>(v));
-  }
-};
-
-template <>
-struct ColumnCodec<std::uint16_t> {
-  static constexpr std::uint32_t kWidth = 2;
-  static std::uint16_t Load(const char* p) {
-    return static_cast<std::uint16_t>(coldetail::LoadLe<2>(p));
-  }
-  static void Store(std::string& out, std::uint16_t v) { coldetail::StoreLe<2>(out, v); }
-};
-
-template <>
-struct ColumnCodec<std::uint64_t> {
-  static constexpr std::uint32_t kWidth = 8;
-  static std::uint64_t Load(const char* p) { return coldetail::LoadLe<8>(p); }
-  static void Store(std::string& out, std::uint64_t v) { coldetail::StoreLe<8>(out, v); }
-};
-
-template <>
-struct ColumnCodec<double> {
-  static constexpr std::uint32_t kWidth = 8;
-  static double Load(const char* p) {
-    const std::uint64_t bits = coldetail::LoadLe<8>(p);
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  static void Store(std::string& out, double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    coldetail::StoreLe<8>(out, bits);
-  }
-};
-
-template <>
-struct ColumnCodec<HomeId> {
-  static constexpr std::uint32_t kWidth = 4;
-  static HomeId Load(const char* p) { return HomeId{ColumnCodec<int>::Load(p)}; }
-  static void Store(std::string& out, HomeId v) { ColumnCodec<int>::Store(out, v.value); }
-};
-
-template <>
-struct ColumnCodec<TimePoint> {
-  static constexpr std::uint32_t kWidth = 8;
-  static TimePoint Load(const char* p) {
-    return TimePoint{static_cast<std::int64_t>(coldetail::LoadLe<8>(p))};
-  }
-  static void Store(std::string& out, TimePoint v) {
-    coldetail::StoreLe<8>(out, static_cast<std::uint64_t>(v.ms));
-  }
-};
-
-template <>
-struct ColumnCodec<Duration> {
-  static constexpr std::uint32_t kWidth = 8;
-  static Duration Load(const char* p) {
-    return Duration{static_cast<std::int64_t>(coldetail::LoadLe<8>(p))};
-  }
-  static void Store(std::string& out, Duration v) {
-    coldetail::StoreLe<8>(out, static_cast<std::uint64_t>(v.ms));
-  }
-};
-
-template <>
-struct ColumnCodec<Bytes> {
-  static constexpr std::uint32_t kWidth = 8;
-  static Bytes Load(const char* p) {
-    return Bytes{static_cast<std::int64_t>(coldetail::LoadLe<8>(p))};
-  }
-  static void Store(std::string& out, Bytes v) {
-    coldetail::StoreLe<8>(out, static_cast<std::uint64_t>(v.count));
-  }
-};
-
-template <>
-struct ColumnCodec<BitRate> {
-  static constexpr std::uint32_t kWidth = 8;
-  static BitRate Load(const char* p) { return BitRate{ColumnCodec<double>::Load(p)}; }
-  static void Store(std::string& out, BitRate v) { ColumnCodec<double>::Store(out, v.bps); }
-};
-
-template <>
-struct ColumnCodec<net::FlowId> {
-  static constexpr std::uint32_t kWidth = 8;
-  static net::FlowId Load(const char* p) { return net::FlowId{coldetail::LoadLe<8>(p)}; }
-  static void Store(std::string& out, net::FlowId v) { coldetail::StoreLe<8>(out, v.value); }
-};
-
-template <>
-struct ColumnCodec<net::MacAddress> {
-  static constexpr std::uint32_t kWidth = 6;
-  static net::MacAddress Load(const char* p) {
-    std::array<std::uint8_t, 6> octets{};
-    for (std::size_t i = 0; i < octets.size(); ++i) {
-      octets[i] = static_cast<std::uint8_t>(p[i]);
-    }
-    return net::MacAddress(octets);
-  }
-  static void Store(std::string& out, net::MacAddress v) {
-    for (const auto octet : v.octets()) out.push_back(static_cast<char>(octet));
-  }
-};
-
-template <>
-struct ColumnCodec<net::Protocol> {
-  static constexpr std::uint32_t kWidth = 1;
-  static net::Protocol Load(const char* p) {
-    return static_cast<net::Protocol>(static_cast<std::uint8_t>(*p));
-  }
-  static void Store(std::string& out, net::Protocol v) {
-    out.push_back(static_cast<char>(static_cast<std::uint8_t>(v)));
-  }
-};
-
-template <>
-struct ColumnCodec<wireless::Band> {
-  static constexpr std::uint32_t kWidth = 1;
-  static wireless::Band Load(const char* p) {
-    return static_cast<wireless::Band>(static_cast<std::uint8_t>(*p));
-  }
-  static void Store(std::string& out, wireless::Band v) {
-    out.push_back(static_cast<char>(static_cast<std::uint8_t>(v)));
-  }
-};
-
-template <>
-struct ColumnCodec<net::VendorClass> {
-  static constexpr std::uint32_t kWidth = 4;
-  static net::VendorClass Load(const char* p) {
-    return static_cast<net::VendorClass>(ColumnCodec<int>::Load(p));
-  }
-  static void Store(std::string& out, net::VendorClass v) {
-    ColumnCodec<int>::Store(out, static_cast<int>(v));
-  }
-};
-
-/// Strings are not fixed-width; their sections carry encoding 0 and the
-/// offsets+blob body StringColumnView reads. The codec exists only so
-/// compile-time width tables can expand over every field uniformly.
-template <>
-struct ColumnCodec<std::string> {
-  static constexpr std::uint32_t kWidth = 0;
-};
-
 /// On-disk section encoding tag of member type V: its fixed width in
 /// bytes, or 0 for the string offsets+blob layout.
 template <typename V>
-inline constexpr std::uint32_t kColumnEncoding = ColumnCodec<V>::kWidth;
+inline constexpr std::uint32_t kColumnEncoding = FieldCodec<V>::kWidth;
 
 /// Typed random access over one fixed-width column body.
 template <typename V>
@@ -236,7 +49,7 @@ class ColumnView {
 
   [[nodiscard]] std::uint64_t size() const { return rows_; }
   [[nodiscard]] V operator[](std::uint64_t i) const {
-    return ColumnCodec<V>::Load(body_ + i * ColumnCodec<V>::kWidth);
+    return FieldCodec<V>::Load(body_ + i * FieldCodec<V>::kWidth);
   }
 
  private:
@@ -263,7 +76,7 @@ class StringColumnView {
 
  private:
   [[nodiscard]] std::uint32_t end_offset(std::uint64_t i) const {
-    return static_cast<std::uint32_t>(coldetail::LoadLe<4>(offsets_ + 4 * i));
+    return LoadLe<std::uint32_t>(offsets_ + 4 * i);
   }
 
   const char* offsets_{nullptr};

@@ -119,6 +119,7 @@ template std::size_t ExportDatasetCsv<ThroughputMinute>(const DataRepository&, s
 template std::size_t ExportDatasetCsv<DnsLogRecord>(const DataRepository&, std::ostream&);
 template std::size_t ExportDatasetCsv<DeviceTrafficRecord>(const DataRepository&,
                                                            std::ostream&);
+template std::size_t ExportDatasetCsv<CgnEventRecord>(const DataRepository&, std::ostream&);
 
 std::size_t ExportAllDatasets(const DataRepository& repo, const std::string& directory,
                               std::size_t workers) {

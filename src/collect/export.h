@@ -11,7 +11,7 @@
 //    writes the anonymised forms.
 //
 //  * The *full-fidelity* view (Schema<T>::Fields()) — every field with
-//    lossless codecs, for all nine data sets. `ExportAllDatasets` +
+//    lossless codecs, for all ten data sets. `ExportAllDatasets` +
 //    `ImportAllDatasets` reproduce a repository exactly (tested), which is
 //    what archival hand-off between studies uses when the columnar
 //    snapshot (collect/column_snapshot.h) is not wanted.

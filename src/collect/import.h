@@ -7,7 +7,7 @@
 // DataRepository so the entire analysis layer runs unchanged on released
 // data (and so the release round-trips losslessly — tested). The
 // full-fidelity importer (`ImportAllDatasets`) reads the exact-codec
-// export of all nine data sets and reproduces a repository bit-for-bit.
+// export of all ten data sets and reproduces a repository bit-for-bit.
 #pragma once
 
 #include <array>
@@ -76,7 +76,7 @@ std::size_t ImportDatasetCsv(DataRepository& repo, std::istream& in, ImportRepor
 /// release face.
 ImportReport ImportPublicDatasets(DataRepository& repo, const std::string& directory);
 
-/// Read all nine full-fidelity CSVs from `directory` (as written by
+/// Read all ten full-fidelity CSVs from `directory` (as written by
 /// ExportAllDatasets) into `repo`.
 ImportReport ImportAllDatasets(DataRepository& repo, const std::string& directory);
 

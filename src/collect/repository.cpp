@@ -30,6 +30,40 @@ DatasetWindows DatasetWindows::Compressed(TimePoint start, int heartbeat_weeks) 
   return w;
 }
 
+void EncodeHome(BinWriter& w, const HomeInfo& home) {
+  w.value(home.id);
+  w.str(home.country_code);
+  w.value(home.developed);
+  w.value(home.utc_offset);
+  w.value(home.reports_uptime);
+  w.value(home.reports_devices);
+  w.value(home.reports_wifi);
+  w.value(home.consented_traffic);
+  w.value(home.has_always_wired);
+  w.value(home.has_always_wireless);
+  w.value(home.true_down_mbps);
+  w.value(home.true_up_mbps);
+  w.value(home.power_mode);
+}
+
+HomeInfo DecodeHome(BinReader& r) {
+  HomeInfo home;
+  r.value(home.id);
+  home.country_code = r.str();
+  r.value(home.developed);
+  r.value(home.utc_offset);
+  r.value(home.reports_uptime);
+  r.value(home.reports_devices);
+  r.value(home.reports_wifi);
+  r.value(home.consented_traffic);
+  r.value(home.has_always_wired);
+  r.value(home.has_always_wireless);
+  r.value(home.true_down_mbps);
+  r.value(home.true_up_mbps);
+  r.value(home.power_mode);
+  return home;
+}
+
 void DataRepository::register_home(HomeInfo info) {
   // Fleet runs register homes from worker threads as shards complete;
   // finalize_deterministic_order() restores the canonical (id) order.
@@ -85,8 +119,7 @@ void IngestBatch::attach_spill(SpillDir* dir, std::uint32_t shard, std::size_t w
 
 void IngestBatch::flush_spill() {
   if (spill_ == nullptr) return;
-  BinWriter row_w;
-  std::string body;
+  BinWriter body;
   ForEachRecordType([&](auto tag) {
     using T = typename decltype(tag)::type;
     auto& vec = store_.rows<T>();
@@ -98,20 +131,10 @@ void IngestBatch::flush_spill() {
       return Schema<T>::SortKey(a) < Schema<T>::SortKey(b);
     });
     body.clear();
-    for (const T& row : vec) {
-      row_w.clear();
-      EncodeRow(row_w, row);
-      const auto len = static_cast<std::uint32_t>(row_w.size());
-      char prefix[4];
-      for (std::size_t i = 0; i < 4; ++i) {
-        prefix[i] = static_cast<char>((len >> (8 * i)) & 0xff);
-      }
-      body.append(prefix, 4);
-      body.append(row_w.buffer());
-    }
+    for (const T& row : vec) AppendSpillRow(body, row);
     constexpr std::size_t kKind = kRecordIndexOf<T>;
     const SectionRef ref = log_->append(static_cast<std::uint32_t>(kKind), shard_,
-                                        runs_[kKind]++, vec.size(), body);
+                                        runs_[kKind]++, vec.size(), body.buffer());
     spill_->register_section(kKind, ref);
     // Deallocate rather than clear(): the runner keeps every shard's batch
     // object alive until the run ends, so retained capacity across

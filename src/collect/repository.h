@@ -60,6 +60,12 @@ struct HomeInfo {
   friend bool operator==(const HomeInfo&, const HomeInfo&) = default;
 };
 
+/// The one binary codec of a HomeInfo (manifest shard-done records and the
+/// snapshot meta's home roster): its fields in declaration order, the
+/// country code u32-length-prefixed.
+void EncodeHome(BinWriter& w, const HomeInfo& home);
+[[nodiscard]] HomeInfo DecodeHome(BinReader& r);
+
 /// A per-shard staging buffer: the same write API and window clipping as
 /// the repository, but entirely thread-private. A parallel deployment run
 /// gives each shard one batch; the shard's producers write into it without

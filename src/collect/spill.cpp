@@ -1,7 +1,6 @@
 #include "collect/spill.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <queue>
@@ -16,28 +15,10 @@ namespace bismark::collect {
 
 namespace {
 
-void PutU32(char* out, std::uint32_t v) {
-  for (std::size_t i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void PutU64(char* out, std::uint64_t v) {
-  for (std::size_t i = 0; i < 8; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-std::uint32_t GetU32(const char* p) {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(const char* p) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
+/// The frame a section's table entry (its manifest record) describes.
+Frame FrameOf(const SectionRef& ref) {
+  return Frame{kSectionMagic, {ref.kind, ref.shard, ref.run}, ref.rows, ref.bytes, ref.crc,
+               kSectionEndMagic};
 }
 
 std::string SectionLabel(const std::string& path, const SectionRef& ref) {
@@ -77,13 +58,10 @@ SectionRef SegmentLog::append(std::uint32_t kind, std::uint32_t shard, std::uint
 
 void SegmentLog::begin_section(std::uint32_t kind, std::uint32_t shard, std::uint32_t run) {
   ensure_open();
-  char header[kSectionHeaderBytes];
-  PutU32(header, kSectionMagic);
-  PutU32(header + 4, kind);
-  PutU32(header + 8, shard);
-  PutU32(header + 12, run);
-  check(out_.write(header, sizeof header), "section header write");
-  offset_ += sizeof header;
+  const auto header =
+      FrameHeader(Frame{kSectionMagic, {kind, shard, run}, 0, 0, 0, kSectionEndMagic});
+  check(out_.write(header.data(), header.size()), "section header write");
+  offset_ += header.size();
   section_start_ = offset_;
   section_kind_ = kind;
   section_shard_ = shard;
@@ -107,13 +85,9 @@ SectionRef SegmentLog::end_section(std::uint64_t rows) {
   ref.run = section_run_;
   ref.kind = section_kind_;
   ref.crc = section_crc_;
-  char footer[kSectionFooterBytes];
-  PutU64(footer, rows);
-  PutU64(footer + 8, ref.bytes);
-  PutU32(footer + 16, ref.crc);
-  PutU32(footer + 20, kSectionEndMagic);
-  check(out_.write(footer, sizeof footer), "section footer write");
-  offset_ += sizeof footer;
+  const auto footer = FrameFooter(FrameOf(ref));
+  check(out_.write(footer.data(), footer.size()), "section footer write");
+  offset_ += footer.size();
   // Push the section to the OS before the caller commits it to the
   // manifest: a manifest record must never reference bytes that a crash of
   // this process could still lose.
@@ -251,12 +225,25 @@ std::uint64_t SpillDir::bytes_spilled() const {
 
 namespace {
 
-/// Sequential decoder over one section: a read-ahead buffer of
+/// A section that could not be opened or failed a frame, CRC or row
+/// framing check. what() is the "spill: corrupt <section>: <reason>"
+/// diagnostic; detail() is the same without the prefix.
+class CorruptSection : public std::runtime_error {
+ public:
+  explicit CorruptSection(const std::string& detail)
+      : std::runtime_error("spill: corrupt " + detail), detail_(detail) {}
+  [[nodiscard]] const std::string& detail() const { return detail_; }
+
+ private:
+  std::string detail_;
+};
+
+/// Sequential reader over one section: a read-ahead buffer of
 /// `buffer_bytes` refilled from the segment file, so a merge holds
-/// O(fan_in × buffer) memory no matter how large the sections are. Verifies
-/// the v2 frame on open (header fields must match the manifest's
-/// SectionRef) and the body CRC32C + footer at exhaustion — every merge
-/// pass re-checks every byte it reads.
+/// O(fan_in × buffer) memory no matter how large the sections are. Checks
+/// the frame header on open against the section's SectionRef, and the body
+/// CRC32C + footer at exhaustion — every merge pass re-checks every byte it
+/// reads. next_row() frames rows; drain() reads the body unframed.
 class SectionCursor {
  public:
   SectionCursor(std::string path, const SectionRef& ref, bool verify, std::size_t buffer_bytes)
@@ -264,20 +251,15 @@ class SectionCursor {
     // Unbuffered stream: the cursor's own buffer is the only read-ahead.
     in_.rdbuf()->pubsetbuf(nullptr, 0);
     in_.open(path_, std::ios::binary);
-    if (!in_) throw std::runtime_error("spill: cannot reopen segment file " + path_);
+    if (!in_) fail("cannot open segment file");
     if (verify_) {
-      if (ref.offset < kSectionHeaderBytes) {
-        fail("header offset underflow");
-      }
-      char header[kSectionHeaderBytes];
-      in_.seekg(static_cast<std::streamoff>(ref.offset - kSectionHeaderBytes));
+      if (ref.offset < kFrameHeaderBytes) fail("header offset underflow");
+      char header[kFrameHeaderBytes];
+      in_.seekg(static_cast<std::streamoff>(ref.offset - kFrameHeaderBytes));
       in_.read(header, sizeof header);
       if (static_cast<std::size_t>(in_.gcount()) != sizeof header) fail("short header read");
-      if (GetU32(header) != kSectionMagic) fail("bad section magic");
-      if (GetU32(header + 4) != ref.kind || GetU32(header + 8) != ref.shard ||
-          GetU32(header + 12) != ref.run) {
-        fail("section header does not match its manifest record");
-      }
+      std::string why;
+      if (!CheckFrameHeader(header, FrameOf(ref), &why)) fail(why);
     } else {
       in_.seekg(static_cast<std::streamoff>(ref.offset));
     }
@@ -293,7 +275,7 @@ class SectionCursor {
       return {nullptr, 0};
     }
     ensure(4);
-    const std::uint32_t len = GetU32(buf_.data() + pos_);
+    const std::uint32_t len = LoadLe<std::uint32_t>(buf_.data() + pos_);
     pos_ += 4;
     ensure(len);
     const char* row = buf_.data() + pos_;
@@ -302,9 +284,19 @@ class SectionCursor {
     return {row, len};
   }
 
+  /// Read the rest of the body without framing rows, then check the CRC
+  /// and the footer. Recovery verifies sections this way.
+  void drain() {
+    while (remaining_file_ > 0) {
+      pos_ = buf_.size();  // nothing buffered is needed again
+      ensure(1);
+    }
+    check_tail();
+  }
+
  private:
   [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("spill: corrupt " + SectionLabel(path_, ref_) + ": " + why);
+    throw CorruptSection(SectionLabel(path_, ref_) + ": " + why);
   }
 
   void finish() {
@@ -315,20 +307,17 @@ class SectionCursor {
     if (remaining_file_ != 0 || pos_ != buf_.size()) {
       fail("body length does not match row framing");
     }
-    if (crc_ != ref_.crc) {
-      std::ostringstream os;
-      os << "body CRC32C mismatch (expected 0x" << std::hex << ref_.crc << ", computed 0x"
-         << crc_ << ")";
-      fail(os.str());
-    }
-    char footer[kSectionFooterBytes];
+    check_tail();
+  }
+
+  void check_tail() {
+    const Frame want = FrameOf(ref_);
+    std::string why;
+    if (!CheckFrameCrc(crc_, want, &why)) fail(why);
+    char footer[kFrameFooterBytes];
     in_.read(footer, sizeof footer);
     if (static_cast<std::size_t>(in_.gcount()) != sizeof footer) fail("truncated footer");
-    if (GetU64(footer) != ref_.rows || GetU64(footer + 8) != ref_.bytes ||
-        GetU32(footer + 16) != ref_.crc) {
-      fail("footer does not match its manifest record");
-    }
-    if (GetU32(footer + 20) != kSectionEndMagic) fail("bad section end magic");
+    if (!CheckFrameFooter(footer, want, &why)) fail(why);
   }
 
   void ensure(std::size_t n) {
@@ -425,23 +414,17 @@ SectionRef MergeIntoScratch(SpillDir& dir, const std::vector<SectionRef>& stream
   SegmentLog& scratch = dir.scratch_log();
   scratch.begin_section(static_cast<std::uint32_t>(kRecordIndexOf<T>), group, level);
   std::uint64_t rows = 0;
-  BinWriter row_w;
-  std::string chunk;
+  BinWriter chunk;
   const std::function<void(const T&)> spool = [&](const T& row) {
-    row_w.clear();
-    EncodeRow(row_w, row);
-    char prefix[4];
-    PutU32(prefix, static_cast<std::uint32_t>(row_w.size()));
-    chunk.append(prefix, 4);
-    chunk.append(row_w.buffer());
+    AppendSpillRow(chunk, row);
     ++rows;
     if (chunk.size() >= 1 << 20) {
-      scratch.write(chunk.data(), chunk.size());
+      scratch.write(chunk.buffer().data(), chunk.size());
       chunk.clear();
     }
   };
   MergeGroup<T>(dir, streams, begin, end, spool);
-  if (!chunk.empty()) scratch.write(chunk.data(), chunk.size());
+  if (chunk.size() != 0) scratch.write(chunk.buffer().data(), chunk.size());
   return scratch.end_section(rows);
 }
 
@@ -478,6 +461,16 @@ std::vector<SectionRef> ReduceToFanIn(SpillDir& dir, std::vector<SectionRef> str
 }
 
 }  // namespace
+
+bool VerifySection(const std::string& path, const SectionRef& ref, std::string* why) {
+  try {
+    SectionCursor(path, ref, /*verify=*/true, /*buffer_bytes=*/1 << 20).drain();
+    return true;
+  } catch (const CorruptSection& e) {
+    *why = e.detail();
+    return false;
+  }
+}
 
 // --- hierarchical merge -----------------------------------------------------
 

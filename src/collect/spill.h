@@ -36,13 +36,14 @@
 // each through at most `merge_fan_in` cursors, and their buffers together
 // take a quarter of the budget.
 //
-// Durability (segment format v2, DESIGN §12): every section is framed — a
-// 16-byte header (magic, kind, shard, run) before the body, a 24-byte
-// footer (rows, body bytes, CRC32C, end magic) after it — and the SpillDir
-// keeps a write-ahead manifest (collect/manifest.h) whose records commit
-// sections only after their bytes reached the OS. All writes go through the
-// injectable core::Io seam; cursors re-verify the CRC on every merge pass
-// and fail closed on any mismatch.
+// Durability (segment format v2, DESIGN §12): every section wears the
+// collect/frame.h frame — "BSG2" header tagged (kind, shard, run), body,
+// footer with rows, body bytes, CRC32C and "END2" — and the SpillDir keeps
+// a write-ahead manifest (collect/manifest.h) whose records commit sections
+// only after their bytes reached the OS. All writes go through the
+// injectable core::Io seam. One cursor reads sections back: it re-verifies
+// the frame and CRC on every merge pass and fails closed on any mismatch,
+// and recovery's VerifySection is that same cursor draining the body.
 #pragma once
 
 #include <algorithm>
@@ -55,6 +56,7 @@
 #include <vector>
 
 #include "collect/binio.h"
+#include "collect/frame.h"
 #include "core/io.h"
 
 namespace bismark::collect {
@@ -95,14 +97,6 @@ struct SpillConfig {
   }
 };
 
-// Section framing constants (shared with manifest recovery and the fuzz
-// suite). Header: u32 magic | u32 kind | u32 shard | u32 run. Footer:
-// u64 rows | u64 body_bytes | u32 body_crc32c | u32 end magic.
-inline constexpr std::uint32_t kSectionMagic = 0x32475342u;     // "BSG2"
-inline constexpr std::uint32_t kSectionEndMagic = 0x32444E45u;  // "END2"
-inline constexpr std::size_t kSectionHeaderBytes = 16;
-inline constexpr std::size_t kSectionFooterBytes = 24;
-
 /// One sorted run of rows of a single kind inside a segment file.
 struct SectionRef {
   std::uint32_t file{0};    ///< index into the SpillDir's file table
@@ -117,10 +111,11 @@ struct SectionRef {
 
 /// An append-only segment file. Owned exclusively by one worker while its
 /// shard task runs (or by the merge scratch path, serialised by SpillDir).
-/// Rows are u32-length-prefixed EncodeRow payloads so cursors can frame
-/// them without schema-dependent sizes. Every write goes through the
-/// checked core::Io seam; any I/O failure throws with the path and errno —
-/// a full disk aborts the run, it does not truncate it silently.
+/// Section bodies are AppendSpillRow payloads (u32 length + EncodeRow) so
+/// cursors can frame rows without schema-dependent sizes. Every write goes
+/// through the checked core::Io seam; any I/O failure throws with the path
+/// and errno — a full disk aborts the run, it does not truncate it
+/// silently.
 class SegmentLog {
  public:
   SegmentLog(std::string path, std::uint32_t index);
@@ -245,5 +240,11 @@ class SpillDir {
 /// fails its CRC or framing check.
 template <typename T>
 void ForEachSpilledRow(SpillDir& dir, const std::function<void(const T&)>& fn);
+
+/// Check one committed section against the bytes on disk: header, body
+/// CRC32C and footer, read through the cursor every merge pass uses (the
+/// body is not decoded into rows). Returns false with *why set to
+/// "<section>: <reason>" for the first mismatch.
+bool VerifySection(const std::string& path, const SectionRef& ref, std::string* why);
 
 }  // namespace bismark::collect

@@ -1,5 +1,7 @@
 #include "core/crc32c.h"
 
+#include "core/binio.h"
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <nmmintrin.h>
 #define BISMARK_CRC32C_X86 1
@@ -66,12 +68,8 @@ bool DetectSse42() { return __builtin_cpu_supports("sse4.2") != 0; }
 std::uint32_t Crc32cSoftwareRaw(const std::uint8_t* p, std::size_t n, std::uint32_t crc) {
   const auto& t = Tables().t;
   while (n >= 8) {
-    crc ^= static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-    const std::uint32_t hi = static_cast<std::uint32_t>(p[4]) |
-                             (static_cast<std::uint32_t>(p[5]) << 8) |
-                             (static_cast<std::uint32_t>(p[6]) << 16) |
-                             (static_cast<std::uint32_t>(p[7]) << 24);
+    crc ^= LoadLe<std::uint32_t>(reinterpret_cast<const char*>(p));
+    const std::uint32_t hi = LoadLe<std::uint32_t>(reinterpret_cast<const char*>(p + 4));
     crc = t[7][crc & 0xffu] ^ t[6][(crc >> 8) & 0xffu] ^ t[5][(crc >> 16) & 0xffu] ^
           t[4][crc >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
           t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];

@@ -2,58 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+
+#include "core/binio.h"
 
 namespace bismark {
-
-namespace {
-
-// Little-endian scalar codec for the sketch checkpoint blobs. Kept local:
-// core cannot depend on collect's BinWriter, and the blobs are opaque to
-// everything but these two classes.
-void PutU64(std::string& out, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.append(b, 8);
-}
-
-void PutF64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(out, bits);
-}
-
-struct BlobReader {
-  const char* p;
-  std::size_t left;
-
-  bool u64(std::uint64_t* v) {
-    if (left < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-    }
-    p += 8;
-    left -= 8;
-    return true;
-  }
-
-  bool f64(double* v) {
-    std::uint64_t bits;
-    if (!u64(&bits)) return false;
-    std::memcpy(v, &bits, 8);
-    return true;
-  }
-
-  bool tag(const char* magic) {
-    if (left < 4 || std::memcmp(p, magic, 4) != 0) return false;
-    p += 4;
-    left -= 4;
-    return true;
-  }
-};
-
-}  // namespace
 
 void RunningStats::add(double x) {
   if (n_ == 0) {
@@ -227,27 +179,29 @@ double QuantileSketch::quantile(double q) const {
 
 std::string QuantileSketch::Serialize() const {
   if (!pending_.empty()) return settled().Serialize();
-  std::string out;
-  out.reserve(36 + 24 * tuples_.size());
-  out.append("GKS1", 4);
-  PutF64(out, eps_);
-  PutU64(out, n_);
-  PutU64(out, since_compress_);
-  PutU64(out, tuples_.size());
+  BinWriter w;
+  w.raw("GKS1", 4);
+  w.f64(eps_);
+  w.u64(n_);
+  w.u64(since_compress_);
+  w.u64(tuples_.size());
   for (const Tuple& t : tuples_) {
-    PutF64(out, t.v);
-    PutU64(out, t.g);
-    PutU64(out, t.delta);
+    w.f64(t.v);
+    w.u64(t.g);
+    w.u64(t.delta);
   }
-  return out;
+  return w.buffer();
 }
 
 bool QuantileSketch::Deserialize(const std::string& blob, QuantileSketch* out) {
-  BlobReader r{blob.data(), blob.size()};
-  if (!r.tag("GKS1")) return false;
+  BinReader r(blob.data(), blob.size());
+  if (r.raw(4) != "GKS1") return false;
   QuantileSketch sketch;
-  std::uint64_t n = 0, since = 0, count = 0;
-  if (!r.f64(&sketch.eps_) || !r.u64(&n) || !r.u64(&since) || !r.u64(&count)) return false;
+  sketch.eps_ = r.f64();
+  const std::uint64_t n = r.u64();
+  const std::uint64_t since = r.u64();
+  const std::uint64_t count = r.u64();
+  if (r.failed()) return false;
   if (!(sketch.eps_ >= 1e-6 && sketch.eps_ <= 0.5)) return false;  // rejects NaN too
   if (count > blob.size() / 24 + 1) return false;
   sketch.n_ = static_cast<std::size_t>(n);
@@ -256,13 +210,16 @@ bool QuantileSketch::Deserialize(const std::string& blob, QuantileSketch* out) {
   std::uint64_t mass = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     Tuple t{};
-    if (!r.f64(&t.v) || !r.u64(&t.g) || !r.u64(&t.delta)) return false;
+    t.v = r.f64();
+    t.g = r.u64();
+    t.delta = r.u64();
+    if (r.failed()) return false;
     if (t.g == 0 || std::isnan(t.v)) return false;
     if (!sketch.tuples_.empty() && t.v < sketch.tuples_.back().v) return false;
     mass += t.g;
     sketch.tuples_.push_back(t);
   }
-  if (r.left != 0 || mass != n) return false;  // trailing bytes / rank-mass mismatch
+  if (!r.at_end() || mass != n) return false;  // trailing bytes / rank-mass mismatch
   *out = std::move(sketch);
   return true;
 }
@@ -275,116 +232,6 @@ double QuantileSketch::min() const {
 double QuantileSketch::max() const {
   if (!pending_.empty()) return settled().max();
   return tuples_.empty() ? 0.0 : tuples_.back().v;
-}
-
-P2Quantile::P2Quantile(double q) : q_(std::clamp(q, 0.0, 1.0)) {
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q_;
-  desired_[2] = 1.0 + 4.0 * q_;
-  desired_[3] = 3.0 + 2.0 * q_;
-  desired_[4] = 5.0;
-  increments_[0] = 0.0;
-  increments_[1] = q_ / 2.0;
-  increments_[2] = q_;
-  increments_[3] = (1.0 + q_) / 2.0;
-  increments_[4] = 1.0;
-}
-
-void P2Quantile::add(double v) {
-  if (n_ < 5) {
-    heights_[n_] = v;
-    ++n_;
-    if (n_ == 5) {
-      std::sort(heights_, heights_ + 5);
-      for (int i = 0; i < 5; ++i) positions_[i] = static_cast<double>(i + 1);
-    }
-    return;
-  }
-  // Locate the cell containing v and clamp the extreme markers.
-  int k;
-  if (v < heights_[0]) {
-    heights_[0] = v;
-    k = 0;
-  } else if (v >= heights_[4]) {
-    heights_[4] = v;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && v >= heights_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-  ++n_;
-  // Adjust interior markers toward their desired positions (parabolic, with
-  // linear fallback when the parabola would break monotonicity).
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double below = positions_[i] - positions_[i - 1];
-    const double above = positions_[i + 1] - positions_[i];
-    if ((d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0)) {
-      const double s = d >= 1.0 ? 1.0 : -1.0;
-      const double hp =
-          heights_[i] + s / (positions_[i + 1] - positions_[i - 1]) *
-                            ((below + s) * (heights_[i + 1] - heights_[i]) / above +
-                             (above - s) * (heights_[i] - heights_[i - 1]) / below);
-      if (heights_[i - 1] < hp && hp < heights_[i + 1]) {
-        heights_[i] = hp;
-      } else {
-        const int j = i + static_cast<int>(s);
-        heights_[i] += s * (heights_[j] - heights_[i]) / (positions_[j] - positions_[i]);
-      }
-      positions_[i] += s;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (n_ == 0) return 0.0;
-  if (n_ < 5) {
-    double copy[5];
-    std::copy(heights_, heights_ + n_, copy);
-    std::sort(copy, copy + n_);
-    return QuantileSorted(std::span<const double>(copy, n_), q_);
-  }
-  return heights_[2];
-}
-
-std::string P2Quantile::Serialize() const {
-  std::string out;
-  out.reserve(180);
-  out.append("P2Q1", 4);
-  PutF64(out, q_);
-  PutU64(out, n_);
-  for (double h : heights_) PutF64(out, h);
-  for (double p : positions_) PutF64(out, p);
-  for (double d : desired_) PutF64(out, d);
-  for (double i : increments_) PutF64(out, i);
-  return out;
-}
-
-bool P2Quantile::Deserialize(const std::string& blob, P2Quantile* out) {
-  BlobReader r{blob.data(), blob.size()};
-  if (!r.tag("P2Q1")) return false;
-  P2Quantile est(0.5);
-  std::uint64_t n = 0;
-  if (!r.f64(&est.q_) || !r.u64(&n)) return false;
-  if (!(est.q_ >= 0.0 && est.q_ <= 1.0)) return false;  // rejects NaN too
-  est.n_ = static_cast<std::size_t>(n);
-  for (double& h : est.heights_) {
-    if (!r.f64(&h)) return false;
-  }
-  for (double& p : est.positions_) {
-    if (!r.f64(&p)) return false;
-  }
-  for (double& d : est.desired_) {
-    if (!r.f64(&d)) return false;
-  }
-  for (double& i : est.increments_) {
-    if (!r.f64(&i)) return false;
-  }
-  if (r.left != 0) return false;
-  *out = est;
-  return true;
 }
 
 void Sample::ensure_sorted() const {

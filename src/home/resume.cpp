@@ -1,5 +1,7 @@
 #include "home/resume.h"
 
+#include <string_view>
+
 #include "collect/binio.h"
 
 namespace bismark::home {
@@ -13,18 +15,6 @@ constexpr char kBlobMagic[4] = {'B', 'S', 'O', 'P'};
 // output destination, not record content (and resume rejects it anyway).
 constexpr std::uint32_t kBlobVersion = 2;
 
-void PutInterval(collect::BinWriter& w, const Interval& ival) {
-  w.i64(ival.start.ms);
-  w.i64(ival.end.ms);
-}
-
-Interval GetInterval(collect::BinReader& r) {
-  Interval ival;
-  ival.start.ms = r.i64();
-  ival.end.ms = r.i64();
-  return ival;
-}
-
 bool Fail(std::string* error, const std::string& reason) {
   if (error) *error = "resume options: " + reason;
   return false;
@@ -33,19 +23,14 @@ bool Fail(std::string* error, const std::string& reason) {
 }  // namespace
 
 std::string EncodeResumableOptions(const DeploymentOptions& o) {
-  collect::BinWriter w;
+  BinWriter w;
   w.raw(kBlobMagic, sizeof(kBlobMagic));
   w.u32(kBlobVersion);
 
   w.u64(o.seed);
   w.u64(o.fault_seed);
 
-  PutInterval(w, o.windows.heartbeats);
-  PutInterval(w, o.windows.uptime);
-  PutInterval(w, o.windows.capacity);
-  PutInterval(w, o.windows.devices);
-  PutInterval(w, o.windows.wifi);
-  PutInterval(w, o.windows.traffic);
+  w.value(o.windows);
 
   w.i64(o.heartbeat.period.ms);
   w.f64(o.heartbeat.loss_prob);
@@ -83,11 +68,8 @@ std::string EncodeResumableOptions(const DeploymentOptions& o) {
 
 bool DecodeResumableOptions(const std::string& blob, DeploymentOptions* out,
                             std::string* error) {
-  collect::BinReader r(blob.data(), blob.size());
-  char magic[sizeof(kBlobMagic)] = {};
-  for (auto& c : magic) c = static_cast<char>(r.u8());
-  if (r.failed() || std::string_view(magic, sizeof(magic)) !=
-                        std::string_view(kBlobMagic, sizeof(kBlobMagic))) {
+  BinReader r(blob.data(), blob.size());
+  if (r.raw(sizeof(kBlobMagic)) != std::string_view(kBlobMagic, sizeof(kBlobMagic))) {
     return Fail(error, "bad magic (not an options blob)");
   }
   const std::uint32_t version = r.u32();
@@ -99,12 +81,7 @@ bool DecodeResumableOptions(const std::string& blob, DeploymentOptions* out,
   o.seed = r.u64();
   o.fault_seed = r.u64();
 
-  o.windows.heartbeats = GetInterval(r);
-  o.windows.uptime = GetInterval(r);
-  o.windows.capacity = GetInterval(r);
-  o.windows.devices = GetInterval(r);
-  o.windows.wifi = GetInterval(r);
-  o.windows.traffic = GetInterval(r);
+  r.value(o.windows);
 
   o.heartbeat.period.ms = r.i64();
   o.heartbeat.loss_prob = r.f64();

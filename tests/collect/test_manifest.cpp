@@ -172,7 +172,7 @@ TEST_F(ManifestRecoveryTest, MidFlightSectionsAreDroppedAndTruncated) {
   // The orphan's bytes are gone from the segment file: the next generation
   // appends over them and a later recovery must not see stale frames.
   const std::string seg = dir_ + "/" + rec.files[orphan.file];
-  EXPECT_LE(fs::file_size(seg), orphan.offset - kSectionHeaderBytes);
+  EXPECT_LE(fs::file_size(seg), orphan.offset - kFrameHeaderBytes);
 }
 
 TEST_F(ManifestRecoveryTest, CorruptSectionQuarantinesOwningShard) {

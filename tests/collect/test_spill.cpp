@@ -252,7 +252,7 @@ std::uint64_t ReadAllKinds(const DataRepository& repo) {
 std::uint64_t KindSegmentBytes(const SpillDir& spill, std::size_t kind) {
   std::uint64_t bytes = 0;
   for (const SectionRef& ref : spill.sections_of_kind(kind)) {
-    bytes += ref.bytes + kSectionHeaderBytes + kSectionFooterBytes;
+    bytes += ref.bytes + kFrameHeaderBytes + kFrameFooterBytes;
   }
   return bytes;
 }
@@ -338,7 +338,7 @@ TEST(SpillMergeLevels, OneExtraLevelRewritesOnlyTheExcess) {
   spilled->for_each_row<WifiScanRecord>([&rows](const WifiScanRecord&) { ++rows; });
   EXPECT_EQ(rows, spilled->row_count<WifiScanRecord>());
   EXPECT_EQ(spilled->spill()->scratch_log().bytes_written(),
-            refs[0].bytes + refs[1].bytes + kSectionHeaderBytes + kSectionFooterBytes);
+            refs[0].bytes + refs[1].bytes + kFrameHeaderBytes + kFrameFooterBytes);
 
   std::filesystem::remove_all(dir);
 }
