@@ -28,10 +28,10 @@ int main() {
                           dvg.wireless.mean > dvg.wired.mean)
                              ? "yes"
                              : "NO");
-  bench::PrintComparison(
-      "developed has ~1 more device connected", "~+1",
-      "+" + TextTable::Num((dev.wired.mean + dev.wireless.mean) -
-                           (dvg.wired.mean + dvg.wireless.mean), 2));
+  std::string more_devices = "+";
+  more_devices += TextTable::Num(
+      (dev.wired.mean + dev.wireless.mean) - (dvg.wired.mean + dvg.wireless.mean), 2);
+  bench::PrintComparison("developed has ~1 more device connected", "~+1", more_devices);
   bench::PrintComparison("avg wired ports used < 1 (both regions)", "yes",
                          (dev.wired.mean < 1.5 && dvg.wired.mean < 1.0) ? "yes" : "NO");
   return 0;

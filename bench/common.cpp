@@ -33,7 +33,9 @@ void PrintCdfRows(TextTable& table, const std::string& label, const Cdf& cdf,
   (void)log_scale_hint;
   static constexpr double kPercentiles[] = {0.10, 0.25, 0.50, 0.75, 0.90, 0.95};
   for (double p : kPercentiles) {
-    table.add_row({label, "p" + TextTable::Num(p * 100, 0), TextTable::Num(cdf.quantile(p), 3)});
+    std::string name = "p";
+    name += TextTable::Num(p * 100, 0);
+    table.add_row({label, name, TextTable::Num(cdf.quantile(p), 3)});
   }
 }
 

@@ -1,15 +1,15 @@
 #include "analysis/fleet.h"
 
 #include <algorithm>
-#include <functional>
 #include <iomanip>
 #include <ostream>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "collect/kind_pipes.h"
 #include "core/binio.h"
-#include "core/thread_pool.h"
 
 namespace bismark::analysis {
 
@@ -23,24 +23,18 @@ struct HomeAgg {
   int max_unique_devices{-1};
 };
 
-/// country_code pointers indexed by dense home id (nullptr for gaps).
-std::vector<const std::string*> CountryByHomeId(const collect::DataRepository& repo,
-                                                int max_id) {
-  std::vector<const std::string*> country(static_cast<std::size_t>(max_id + 1), nullptr);
+/// Seed the per-country table with roster counts, so a country shows up
+/// (with empty sketches) even when none of its homes ran a probe, and
+/// return each dense home id's entry (nullptr for gaps).
+std::vector<CountryCapacity*> SeedCountries(const collect::DataRepository& repo, int max_id,
+                                            FleetSummary* out) {
+  std::vector<CountryCapacity*> by_home(static_cast<std::size_t>(max_id + 1), nullptr);
   for (const collect::HomeInfo& info : repo.homes()) {
-    if (info.id.value >= 0 && info.id.value <= max_id) {
-      country[static_cast<std::size_t>(info.id.value)] = &info.country_code;
-    }
+    CountryCapacity& cc = out->capacity_by_country[info.country_code];
+    ++cc.homes;
+    if (info.id.value >= 0) by_home[static_cast<std::size_t>(info.id.value)] = &cc;
   }
-  return country;
-}
-
-/// Pre-seed the per-country table with roster counts so a country shows up
-/// (with empty sketches) even when none of its homes ran a probe.
-void SeedCountries(const collect::DataRepository& repo, FleetSummary* out) {
-  for (const collect::HomeInfo& info : repo.homes()) {
-    ++out->capacity_by_country[info.country_code].homes;
-  }
+  return by_home;
 }
 
 }  // namespace
@@ -65,69 +59,85 @@ FleetSummary SummarizeFleet(const collect::DataRepository& repo, std::size_t wor
     if (id.value < 0 || id.value > max_id) return nullptr;
     return &agg[static_cast<std::size_t>(id.value)];
   };
-  const auto country = CountryByHomeId(repo, max_id);
-  SeedCountries(repo, &out);
+  const std::vector<CountryCapacity*> country = SeedCountries(repo, max_id, &out);
 
-  // One pass per data set. Each pass owns the sketches and slots it writes
-  // and feeds them its kind's rows in canonical order on whichever thread
-  // runs it, so the summary is identical at any worker count and to the
-  // resident repository's.
-  struct Pass {
-    std::size_t rows;
-    std::function<void()> run;
+  // One pipe per data set: its producer streams the kind's rows in
+  // canonical order and each accumulator is a sink of its own, fed every
+  // row in that order on whichever thread runs it. So every sketch is the
+  // one a serial scan builds, at any worker count and on every backend.
+  // Sinks run side by side: each owns its state on its own cache lines.
+  struct alignas(64) Sketch {
+    QuantileSketch sketch;
   };
-  std::vector<Pass> passes;
-  passes.push_back({repo.row_count<collect::HeartbeatRun>(), [&] {
-    repo.for_each_row<collect::HeartbeatRun>([&](const collect::HeartbeatRun& run) {
+  Sketch cap_down, cap_up, aps, clients, peak, flow_kb;
+  collect::KindPipes pipes(repo);
+  pipes.add<collect::HeartbeatRun>({[&](std::span<const collect::HeartbeatRun> batch) {
+    for (const collect::HeartbeatRun& run : batch) {
       if (HomeAgg* a = slot(hb_agg, run.home)) {
         a->covered_ms += static_cast<double>((run.end - run.start).ms);
         ++a->heartbeat_runs;
       }
-    });
+    }
   }});
-  passes.push_back({repo.row_count<collect::DeviceCountRecord>(), [&] {
-    repo.for_each_row<collect::DeviceCountRecord>([&](const collect::DeviceCountRecord& rec) {
-      if (HomeAgg* a = slot(dev_agg, rec.home)) {
-        a->max_unique_devices = std::max(a->max_unique_devices, rec.unique_total);
-      }
-    });
-  }});
-  passes.push_back({repo.row_count<collect::CapacityRecord>(), [&] {
-    repo.for_each_row<collect::CapacityRecord>([&](const collect::CapacityRecord& rec) {
-      out.capacity_down_mbps.add(rec.downstream.mbps());
-      out.capacity_up_mbps.add(rec.upstream.mbps());
-      if (rec.home.value >= 0 && rec.home.value <= max_id) {
-        if (const std::string* code = country[static_cast<std::size_t>(rec.home.value)]) {
-          CountryCapacity& cc = out.capacity_by_country[*code];
-          cc.down_mbps.add(rec.downstream.mbps());
-          cc.up_mbps.add(rec.upstream.mbps());
+  pipes.add<collect::DeviceCountRecord>(
+      {[&](std::span<const collect::DeviceCountRecord> batch) {
+        for (const collect::DeviceCountRecord& rec : batch) {
+          if (HomeAgg* a = slot(dev_agg, rec.home)) {
+            a->max_unique_devices = std::max(a->max_unique_devices, rec.unique_total);
+          }
         }
-      }
-    });
-  }});
-  passes.push_back({repo.row_count<collect::WifiScanRecord>(), [&] {
-    repo.for_each_row<collect::WifiScanRecord>([&](const collect::WifiScanRecord& rec) {
-      out.visible_aps.add(static_cast<double>(rec.visible_aps));
-      out.associated_clients.add(static_cast<double>(rec.associated_clients));
-    });
-  }});
-  passes.push_back({repo.row_count<collect::ThroughputMinute>(), [&] {
-    repo.for_each_row<collect::ThroughputMinute>([&](const collect::ThroughputMinute& rec) {
-      out.throughput_down_mbps.add(rec.peak_down_bps / 1e6);
-    });
-  }});
-  passes.push_back({repo.row_count<collect::TrafficFlowRecord>(), [&] {
-    repo.for_each_row<collect::TrafficFlowRecord>([&](const collect::TrafficFlowRecord& rec) {
-      out.flow_kbytes.add(rec.total_bytes().kb());
-    });
-  }});
+      }});
+  pipes.add<collect::CapacityRecord>({
+      [&](std::span<const collect::CapacityRecord> batch) {
+        for (const collect::CapacityRecord& rec : batch) {
+          cap_down.sketch.add(rec.downstream.mbps());
+        }
+      },
+      [&](std::span<const collect::CapacityRecord> batch) {
+        for (const collect::CapacityRecord& rec : batch) cap_up.sketch.add(rec.upstream.mbps());
+      },
+      [&](std::span<const collect::CapacityRecord> batch) {
+        for (const collect::CapacityRecord& rec : batch) {
+          if (rec.home.value < 0 || rec.home.value > max_id) continue;
+          if (CountryCapacity* cc = country[static_cast<std::size_t>(rec.home.value)]) {
+            cc->down_mbps.add(rec.downstream.mbps());
+            cc->up_mbps.add(rec.upstream.mbps());
+          }
+        }
+      },
+  });
+  pipes.add<collect::WifiScanRecord>({
+      [&](std::span<const collect::WifiScanRecord> batch) {
+        for (const collect::WifiScanRecord& rec : batch) {
+          aps.sketch.add(static_cast<double>(rec.visible_aps));
+        }
+      },
+      [&](std::span<const collect::WifiScanRecord> batch) {
+        for (const collect::WifiScanRecord& rec : batch) {
+          clients.sketch.add(static_cast<double>(rec.associated_clients));
+        }
+      },
+  });
+  pipes.add<collect::ThroughputMinute>(
+      {[&](std::span<const collect::ThroughputMinute> batch) {
+        for (const collect::ThroughputMinute& rec : batch) {
+          peak.sketch.add(rec.peak_down_bps / 1e6);
+        }
+      }});
+  pipes.add<collect::TrafficFlowRecord>(
+      {[&](std::span<const collect::TrafficFlowRecord> batch) {
+        for (const collect::TrafficFlowRecord& rec : batch) {
+          flow_kb.sketch.add(rec.total_bytes().kb());
+        }
+      }});
 
-  // The passes run side by side, largest kind first: it bounds the wall
-  // time and must not start last.
-  std::stable_sort(passes.begin(), passes.end(),
-                   [](const Pass& a, const Pass& b) { return a.rows > b.rows; });
-  ThreadPool pool(static_cast<int>(std::min(workers, passes.size())));
-  pool.parallel_for(passes.size(), [&passes](std::size_t i, int) { passes[i].run(); });
+  pipes.run(workers);
+  out.capacity_down_mbps = std::move(cap_down.sketch);
+  out.capacity_up_mbps = std::move(cap_up.sketch);
+  out.visible_aps = std::move(aps.sketch);
+  out.associated_clients = std::move(clients.sketch);
+  out.throughput_down_mbps = std::move(peak.sketch);
+  out.flow_kbytes = std::move(flow_kb.sketch);
 
   const Interval hb = repo.windows().heartbeats;
   const double window_ms = static_cast<double>((hb.end - hb.start).ms);

@@ -8,6 +8,13 @@
 // column files and nothing here ever holds a full data set. Per-home
 // scalar accumulators are the only O(homes) state (a few dozen bytes per
 // home); every distribution is an eps-bounded sketch.
+//
+// Each data set is one pipe (collect/kind_pipes.h, core/pipe.h): its
+// producer streams the kind in canonical order — the spill merge, a
+// column scan or the resident rows — and each accumulator is a sink of
+// its own that sees every row in that order, so the kind's merge and its
+// sketches run on separate cores (wifi_scan: a merge and two sketches)
+// while every sketch is still the one a serial scan builds.
 #pragma once
 
 #include <cstdint>
@@ -63,11 +70,12 @@ struct FleetSummary {
 };
 
 /// One streaming pass per data set over `repo` (resident, spilled or
-/// column-backed). The six passes run on a pool of `workers` threads,
-/// largest kind first; each pass feeds its own sketches its kind's rows in
-/// canonical order, so every sketch is the one a serial scan builds: the
-/// result is bit-identical at any `workers` and across the three backends,
-/// and every distribution stays within eps * n rank error.
+/// column-backed). The six pipes run on a pool of `workers` threads,
+/// largest kind first; every sink sees its kind's rows in canonical order,
+/// so every sketch is the one a serial scan builds: the result is
+/// bit-identical at any `workers` and across the three backends, and every
+/// distribution stays within eps * n rank error. Throws if a stream fails
+/// (e.g. a corrupt spill section).
 [[nodiscard]] FleetSummary SummarizeFleet(const collect::DataRepository& repo,
                                           std::size_t workers);
 

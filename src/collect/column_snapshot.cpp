@@ -2,14 +2,16 @@
 
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 
 #include "collect/binio.h"
 #include "collect/frame.h"
+#include "collect/kind_pipes.h"
 #include "core/crc32c.h"
-#include "core/thread_pool.h"
 
 namespace bismark::collect {
 
@@ -102,39 +104,54 @@ struct StripeBuilder {
   }
 };
 
-/// Stream kind T out of `repo` into <dir>/<kind>.bsmkcol. Throws
-/// std::runtime_error on any I/O failure (the parallel driver rethrows).
+/// Writes kind T's `rows` rows, batch by batch, into <dir>/<kind>.bsmkcol:
+/// the snapshot writer's sink on the kind's pipe. The batch that brings the
+/// last row also writes the last stripe, syncs and closes the file and
+/// frees the stripe buffers. Throws std::runtime_error on any I/O failure
+/// or when the stream holds more rows than the repository counted.
 template <typename T>
-ColumnKindMeta WriteKindColumns(const DataRepository& repo, const std::string& dir) {
-  ColumnKindMeta meta;
-  meta.rows = repo.row_count<T>();
-  if (meta.rows == 0) return meta;
-  meta.file = std::string(Schema<T>::kKindName) + kColumnFileSuffix;
-
-  core::CheckedFile file;
-  if (!file.open(dir + "/" + meta.file)) Throw(file.error());
-
-  std::string header;
-  AppendLe(header, kColumnFileMagic);
-  AppendLe(header, static_cast<std::uint32_t>(kRecordIndexOf<T>));
-  AppendLe(header, static_cast<std::uint32_t>(TableView<T>::kNumFields));
-  AppendLe(header, std::uint32_t{0});
-  file.write(header);
-  std::uint64_t offset = header.size();
-
-  StripeBuilder<T> builder;
-  repo.for_each_row<T>([&](const T& row) {
-    builder.add(row);
-    if (builder.rows >= kColumnStripeRows || builder.bytes >= kColumnStripeBytes) {
-      meta.stripes.push_back(builder.flush_to(file, offset, meta.stripes.size()));
-    }
-  });
-  if (builder.rows > 0) {
-    meta.stripes.push_back(builder.flush_to(file, offset, meta.stripes.size()));
+class KindColumnWriter {
+ public:
+  KindColumnWriter(const std::string& dir, ColumnKindMeta& meta, std::uint64_t rows)
+      : meta_(meta) {
+    meta_.rows = rows;
+    meta_.file = std::string(Schema<T>::kKindName) + kColumnFileSuffix;
+    if (!file_.open(dir + "/" + meta_.file)) Throw(file_.error());
+    std::string header;
+    AppendLe(header, kColumnFileMagic);
+    AppendLe(header, static_cast<std::uint32_t>(kRecordIndexOf<T>));
+    AppendLe(header, static_cast<std::uint32_t>(TableView<T>::kNumFields));
+    AppendLe(header, std::uint32_t{0});
+    file_.write(header);
+    offset_ = header.size();
   }
-  if (!file.sync() || !file.close()) Throw(file.error());
-  return meta;
-}
+
+  void add(std::span<const T> rows) {
+    if (seen_ + rows.size() > meta_.rows) {
+      Throw(std::string(Schema<T>::kKindName) + ": more rows streamed than counted");
+    }
+    for (const T& row : rows) {
+      builder_->add(row);
+      if (builder_->rows >= kColumnStripeRows || builder_->bytes >= kColumnStripeBytes) {
+        meta_.stripes.push_back(builder_->flush_to(file_, offset_, meta_.stripes.size()));
+      }
+    }
+    seen_ += rows.size();
+    if (seen_ < meta_.rows) return;
+    if (builder_->rows > 0) {
+      meta_.stripes.push_back(builder_->flush_to(file_, offset_, meta_.stripes.size()));
+    }
+    builder_.reset();
+    if (!file_.sync() || !file_.close()) Throw(file_.error());
+  }
+
+ private:
+  ColumnKindMeta& meta_;
+  core::CheckedFile file_;
+  std::uint64_t offset_{0};
+  std::uint64_t seen_{0};
+  std::unique_ptr<StripeBuilder<T>> builder_ = std::make_unique<StripeBuilder<T>>();
+};
 
 }  // namespace
 
@@ -148,21 +165,27 @@ bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
   std::filesystem::create_directories(dir, ec);
   if (ec) return fail("cannot create " + dir + ": " + ec.message());
 
-  // One task per kind; each owns its file, so output bytes are identical
-  // at any worker count.
+  // One pipe per non-empty kind: the kind's merge or scan streams into its
+  // stripe encoder, which owns the kind's file, so output bytes are
+  // identical at any worker count.
   std::array<ColumnKindMeta, kRecordKinds> kinds;
-  std::vector<std::function<void()>> tasks;
-  ForEachRecordType([&](auto tag) {
-    using T = typename decltype(tag)::type;
-    tasks.push_back([&kinds, &repo, &dir] {
-      kinds[kRecordIndexOf<T>] = WriteKindColumns<T>(repo, dir);
-    });
-  });
   try {
-    bismark::ThreadPool pool(static_cast<int>(workers));
-    pool.parallel_for(tasks.size(), [&tasks](std::size_t i, int) { tasks[i](); });
+    KindPipes pipes(repo);
+    ForEachRecordType([&](auto tag) {
+      using T = typename decltype(tag)::type;
+      const std::uint64_t rows = repo.row_count<T>();
+      if (rows == 0) return;
+      auto writer = std::make_shared<KindColumnWriter<T>>(dir, kinds[kRecordIndexOf<T>], rows);
+      pipes.add<T>({[writer](std::span<const T> batch) { writer->add(batch); }});
+    });
+    pipes.run(workers);
   } catch (const std::exception& e) {
     return fail(e.what());
+  }
+  for (const ColumnKindMeta& km : kinds) {
+    std::uint64_t written = 0;
+    for (const ColumnStripeMeta& sm : km.stripes) written += sm.rows;
+    if (written != km.rows) return fail(km.file + ": fewer rows streamed than counted");
   }
 
   BinWriter w;

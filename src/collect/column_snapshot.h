@@ -38,8 +38,11 @@
 // The writer streams through DataRepository::for_each_row, so it works
 // from the in-RAM store, a spill directory (bounded by one stripe of
 // buffered columns — fleet mode under --memory-budget-mb), or another
-// snapshot, and writes kinds in parallel on bismark::ThreadPool (each kind
-// owns its file, so bytes are identical at any worker count).
+// snapshot. Each kind is one pipe (collect/kind_pipes.h) on
+// bismark::ThreadPool: the kind's merge or scan is the producer and its
+// stripe encoder the sink, so the two run on separate cores, and kinds run
+// side by side, largest first (each kind owns its file, so bytes are
+// identical at any worker count).
 #pragma once
 
 #include <array>
@@ -90,8 +93,8 @@ struct ColumnKindMeta {
 };
 
 /// Write `repo` as a v3 snapshot directory (created if missing; existing
-/// snapshot files are overwritten). Kind files are written in parallel on
-/// `workers` threads. Returns false with *error on any I/O or encoding
+/// snapshot files are overwritten). Kind files are written by one pipe per
+/// kind on `workers` threads. Returns false with *error on any I/O or encoding
 /// failure — partial output may remain, but the meta file is written last
 /// and fsynced, so a directory with a valid meta is complete.
 bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,

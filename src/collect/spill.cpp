@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -360,49 +359,78 @@ bool StreamOrder(const SectionRef& a, const SectionRef& b) {
 
 /// Merge a run of sections (already in canonical stream order) into `emit`,
 /// called once per row in merged order.
-template <typename T>
+///
+/// A loser tree over the k cursors: tree[0] holds the current winner and
+/// tree[1..k) the loser of each internal match (leaf i is node k + i of
+/// an implicit binary tree, so any k works). Each cursor decodes its head
+/// row and SortKey in place into its own slot; an exhausted cursor loses
+/// every match. Ties on the key go to the lower stream position, so the
+/// merge order is the canonical (SortKey, shard, run) order. A step emits
+/// the winner's row by reference, refills that slot from its cursor and
+/// replays only the winner's path to the root: log2(k) comparisons, and no
+/// row is copied or moved.
+template <typename T, typename Emit>
 void MergeGroup(SpillDir& dir, const std::vector<SectionRef>& sections, std::size_t begin,
-                std::size_t end, const std::function<void(const T&)>& emit) {
-  struct Head {
-    T row;
-    decltype(Schema<T>::SortKey(std::declval<const T&>())) key;
-    std::size_t order;  // position in the canonical stream order
+                std::size_t end, Emit&& emit) {
+  struct Slot {
+    std::unique_ptr<SectionCursor> cursor;
+    T row{};
+    decltype(Schema<T>::SortKey(std::declval<const T&>())) key{};
+    bool live{false};
   };
-  struct HeadGreater {
-    bool operator()(const Head& a, const Head& b) const {
-      if (a.key != b.key) return b.key < a.key;
-      return a.order > b.order;
-    }
-  };
-
+  const std::size_t k = end - begin;
+  if (k == 0) return;
   const bool verify = dir.config().verify_checksums;
   const std::size_t buffer_bytes = dir.config().cursor_buffer_bytes();
-  std::vector<std::unique_ptr<SectionCursor>> cursors;
-  cursors.reserve(end - begin);
-  std::priority_queue<Head, std::vector<Head>, HeadGreater> heap;
-  const auto advance = [&](std::size_t order) {
-    auto [data, len] = cursors[order]->next_row();
-    if (data == nullptr) return;
-    Head head;
+  std::vector<Slot> slots(k);
+  const auto advance = [&slots](std::size_t i) {
+    Slot& slot = slots[i];
+    auto [data, len] = slot.cursor->next_row();
+    slot.live = data != nullptr;
+    if (!slot.live) return;
     BinReader r(data, len);
-    DecodeRow(r, head.row);
+    DecodeRow(r, slot.row);
     if (r.failed() || !r.at_end()) throw std::runtime_error("spill: corrupt row");
-    head.key = Schema<T>::SortKey(head.row);
-    head.order = order;
-    heap.push(std::move(head));
+    slot.key = Schema<T>::SortKey(slot.row);
+  };
+  // Does the head of stream a come before the head of stream b?
+  const auto beats = [&slots](std::size_t a, std::size_t b) {
+    const Slot& x = slots[a];
+    const Slot& y = slots[b];
+    if (!x.live || !y.live) return x.live;
+    if (x.key < y.key) return true;
+    if (y.key < x.key) return false;
+    return a < b;
   };
 
-  for (std::size_t i = begin; i < end; ++i) {
-    const SectionRef& ref = sections[i];
-    cursors.push_back(
-        std::make_unique<SectionCursor>(dir.file_path(ref.file), ref, verify, buffer_bytes));
-    advance(cursors.size() - 1);
+  for (std::size_t i = 0; i < k; ++i) {
+    const SectionRef& ref = sections[begin + i];
+    slots[i].cursor = std::make_unique<SectionCursor>(dir.file_path(ref.file), ref, verify,
+                                                      buffer_bytes);
+    advance(i);
   }
-  while (!heap.empty()) {
-    Head head = heap.top();
-    heap.pop();
-    emit(head.row);
-    advance(head.order);
+  // Build bottom-up: winner[n] is the winner of node n's subtree.
+  std::vector<std::size_t> tree(k);
+  {
+    std::vector<std::size_t> winner(2 * k);
+    for (std::size_t i = 0; i < k; ++i) winner[k + i] = i;
+    for (std::size_t n = k - 1; n > 0; --n) {
+      const std::size_t a = winner[2 * n];
+      const std::size_t b = winner[2 * n + 1];
+      const bool a_wins = beats(a, b);
+      winner[n] = a_wins ? a : b;
+      tree[n] = a_wins ? b : a;
+    }
+    tree[0] = k > 1 ? winner[1] : 0;
+  }
+  while (slots[tree[0]].live) {
+    std::size_t w = tree[0];
+    emit(slots[w].row);
+    advance(w);
+    for (std::size_t n = (k + w) / 2; n > 0; n /= 2) {
+      if (beats(tree[n], w)) std::swap(tree[n], w);
+    }
+    tree[0] = w;
   }
 }
 
@@ -415,7 +443,7 @@ SectionRef MergeIntoScratch(SpillDir& dir, const std::vector<SectionRef>& stream
   scratch.begin_section(static_cast<std::uint32_t>(kRecordIndexOf<T>), group, level);
   std::uint64_t rows = 0;
   BinWriter chunk;
-  const std::function<void(const T&)> spool = [&](const T& row) {
+  const auto spool = [&](const T& row) {
     AppendSpillRow(chunk, row);
     ++rows;
     if (chunk.size() >= 1 << 20) {

@@ -31,10 +31,17 @@
 // sections carry the same CRC frames as worker sections and are re-verified
 // on every read.
 //
-// Memory: each merge cursor's read-ahead is sized from the budget
-// (SpillConfig::cursor_buffer_bytes): up to `workers` kinds merge at once,
-// each through at most `merge_fan_in` cursors, and their buffers together
-// take a quarter of the budget.
+// The merge itself is a loser tree over the open cursors: each cursor
+// decodes its head row and SortKey in place into its own slot, a step
+// replays one leaf-to-root path (log2 k comparisons), and ties go to the
+// lower canonical stream position. No row is copied per step.
+//
+// Memory: a quarter of the budget is for streaming kinds back. Up to
+// `workers` kinds stream at once (the finalize passes run one pipe per
+// kind, core/pipe.h), and each gets an equal share: an eighth of it is the
+// ring of the kind's pipe (SpillConfig::pipe_ring_bytes), the rest is the
+// read-ahead of at most `merge_fan_in` cursors
+// (SpillConfig::cursor_buffer_bytes).
 //
 // Durability (segment format v2, DESIGN §12): every section wears the
 // collect/frame.h frame — "BSG2" header tagged (kind, shard, run), body,
@@ -87,13 +94,25 @@ struct SpillConfig {
     return per_worker > 4096 ? per_worker : 4096;
   }
 
-  /// Read-ahead of one merge cursor: `workers` kinds may merge at once
-  /// (the parallel summary, export and snapshot passes), each through at
-  /// most `merge_fan_in` cursors, and all their buffers share a quarter of
-  /// the budget. Clamped to [4 KiB, 64 KiB].
+  /// A quarter of the budget is for streaming kinds back: `workers` kinds
+  /// may stream at once (the parallel summary, export and snapshot
+  /// passes), and each gets an equal share for its merge cursors and the
+  /// ring of its finalize pipe (core/pipe.h).
+  [[nodiscard]] std::size_t stream_share_bytes() const {
+    return budget_bytes / (4 * (workers ? workers : 1));
+  }
+  /// Ring of one finalize pipe: an eighth of the kind's share, clamped to
+  /// [64 KiB, 1 MiB].
+  [[nodiscard]] std::size_t pipe_ring_bytes() const {
+    return std::clamp<std::size_t>(stream_share_bytes() / 8, 64 * 1024, 1024 * 1024);
+  }
+  /// Read-ahead of one merge cursor: the rest of the kind's share over at
+  /// most `merge_fan_in` cursors, clamped to [4 KiB, 64 KiB].
   [[nodiscard]] std::size_t cursor_buffer_bytes() const {
-    const std::size_t cursors = (workers ? workers : 1) * (merge_fan_in ? merge_fan_in : 1);
-    return std::clamp<std::size_t>(budget_bytes / (4 * cursors), 4096, 64 * 1024);
+    const std::size_t share = stream_share_bytes();
+    const std::size_t cursors = merge_fan_in ? merge_fan_in : 1;
+    return std::clamp<std::size_t>((share - std::min(share, pipe_ring_bytes())) / cursors,
+                                   4096, 64 * 1024);
   }
 };
 

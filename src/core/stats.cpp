@@ -100,60 +100,78 @@ void QuantileSketch::add(double v) {
   // Amortize insertion and compression: every 1/(2 eps) adds keeps the
   // invariant g + delta <= 2 eps n while touching the array O(1) amortized.
   if (++since_compress_ >= static_cast<std::size_t>(1.0 / (2.0 * eps_))) {
-    settle();
-    compress();
+    settle(/*compress=*/true);
     since_compress_ = 0;
   }
 }
 
-void QuantileSketch::settle() {
+void QuantileSketch::settle(bool compress) {
   if (pending_.empty()) return;
-  // Equal values end up newest first, as lower_bound inserts leave them.
-  std::reverse(pending_.begin(), pending_.end());
-  std::stable_sort(pending_.begin(), pending_.end());
-  std::vector<Tuple> out;
-  out.reserve(tuples_.size() + pending_.size());
-  std::size_t i = 0;
-  for (const double v : pending_) {
-    while (i < tuples_.size() && tuples_[i].v < v) out.push_back(tuples_[i++]);
-    // Interior insert: the successor may carry mass folded up from values
-    // below v, so the new tuple inherits that rank uncertainty. Extremes
-    // (new min/max) are exact, which keeps min()/max() precise.
-    const bool interior = i > 0 && i < tuples_.size();
-    out.push_back(Tuple{v, 1, interior ? tuples_[i].g + tuples_[i].delta - 1 : 0});
+  // Ascending, equal values newest first (as lower_bound inserts leave
+  // them). Equal doubles have equal bits unless they are zeros of both
+  // signs, so without -0.0 and NaN the order of ties cannot show and an
+  // in-place sort is exact; with them, a stable sort keeps arrival order.
+  const bool exotic = std::any_of(pending_.begin(), pending_.end(), [](double v) {
+    return std::isnan(v) || (v == 0.0 && std::signbit(v));
+  });
+  if (exotic) {
+    std::reverse(pending_.begin(), pending_.end());
+    std::stable_sort(pending_.begin(), pending_.end());
+  } else {
+    std::sort(pending_.begin(), pending_.end());
   }
-  out.insert(out.end(), tuples_.begin() + static_cast<std::ptrdiff_t>(i), tuples_.end());
-  tuples_ = std::move(out);
+
+  // The merged list, one tuple at a time: the old tuples below the next
+  // buffered value, then that value. Interior insert: the successor may
+  // carry mass folded up from values below v, so the new tuple inherits
+  // that rank uncertainty. Extremes (new min/max) are exact, which keeps
+  // min()/max() precise.
+  const std::size_t old_size = tuples_.size();
+  const std::size_t total = old_size + pending_.size();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  const auto next = [&]() -> Tuple {
+    if (j < pending_.size() && (i == old_size || !(tuples_[i].v < pending_[j]))) {
+      const bool interior = i > 0 && i < old_size;
+      return Tuple{pending_[j++], 1, interior ? tuples_[i].g + tuples_[i].delta - 1 : 0};
+    }
+    return tuples_[i++];
+  };
+
+  scratch_.reserve(total);
+  if (!compress || total < 3) {
+    for (std::size_t k = 0; k < total; ++k) scratch_.push_back(next());
+  } else {
+    // Compress on the way: fold each tuple into its successor when the
+    // combined slack fits; the first and last tuples are kept so min/max
+    // stay exact.
+    const auto cap = static_cast<std::uint64_t>(2.0 * eps_ * static_cast<double>(n_));
+    scratch_.push_back(next());
+    Tuple succ = next();
+    std::uint64_t carry = 0;
+    for (std::size_t k = 1; k < total; ++k) {
+      Tuple t = succ;
+      t.g += carry;
+      carry = 0;
+      if (k + 1 < total) {
+        succ = next();
+        if (t.g + succ.g + succ.delta < cap) {
+          carry = t.g;  // fold this tuple into its successor
+          continue;
+        }
+      }
+      scratch_.push_back(t);
+    }
+  }
+  tuples_.swap(scratch_);
+  scratch_.clear();
   pending_.clear();
 }
 
 QuantileSketch QuantileSketch::settled() const {
   QuantileSketch copy = *this;
-  copy.settle();
+  copy.settle(/*compress=*/false);
   return copy;
-}
-
-void QuantileSketch::compress() {
-  if (tuples_.size() < 3) return;
-  const auto cap = static_cast<std::uint64_t>(2.0 * eps_ * static_cast<double>(n_));
-  // Fold each tuple into its successor when the combined slack fits; the
-  // first and last tuples are kept so min/max stay exact.
-  std::vector<Tuple> out;
-  out.reserve(tuples_.size());
-  std::uint64_t carry = 0;
-  out.push_back(tuples_.front());
-  for (std::size_t i = 1; i < tuples_.size(); ++i) {
-    Tuple t = tuples_[i];
-    t.g += carry;
-    carry = 0;
-    const bool last = (i + 1 == tuples_.size());
-    if (!last && t.g + tuples_[i + 1].g + tuples_[i + 1].delta < cap) {
-      carry = t.g;  // fold this tuple into its successor
-    } else {
-      out.push_back(t);
-    }
-  }
-  tuples_ = std::move(out);
 }
 
 double QuantileSketch::quantile(double q) const {

@@ -62,9 +62,12 @@ class RunningStats {
 /// pass, then compressed. A buffered value inherits the g + delta of its
 /// first pre-batch successor, which is exactly what one-at-a-time inserts
 /// pass along a run of fresh tuples, so the tuples, every answer and every
-/// Serialize blob are the same as without the buffer. Const members never
-/// touch the buffer (they read a settled copy while adds are pending), so
-/// concurrent const queries on one sketch are safe.
+/// Serialize blob are the same as without the buffer. The insert and the
+/// compress are one pass into a scratch tuple array that is then swapped
+/// in, so a sketch past its first few batches adds without allocating (a
+/// batch holding NaN or -0.0 takes a stable sort, which may allocate). Const
+/// members never touch the buffer (they read a settled copy while adds are
+/// pending), so concurrent const queries on one sketch are safe.
 class QuantileSketch {
  public:
   explicit QuantileSketch(double eps = 0.005);
@@ -102,17 +105,18 @@ class QuantileSketch {
     std::uint64_t g;
     std::uint64_t delta;
   };
-  /// Merge-insert the buffered adds into the tuple list (no compress).
-  void settle();
+  /// Merge-insert the buffered adds into the tuple list in one pass,
+  /// compressing on the way when `compress` is set.
+  void settle(bool compress);
   /// This sketch with its buffered adds inserted; const members query it.
   [[nodiscard]] QuantileSketch settled() const;
-  void compress();
 
   double eps_;
   std::size_t n_{0};
   std::size_t since_compress_{0};
   std::vector<Tuple> tuples_;    // sorted by v
   std::vector<double> pending_;  // adds not yet inserted, in arrival order
+  std::vector<Tuple> scratch_;   // settle's output buffer, swapped in; empty between calls
 };
 
 /// Convenience: collect values, then answer quantile queries repeatedly.

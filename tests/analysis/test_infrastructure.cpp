@@ -16,14 +16,12 @@ class InfrastructureTest : public ::testing::Test {
 
   void RegisterHome(int id, bool developed, bool always_wired = false,
                     bool always_wireless = false) {
-    collect::HomeInfo info;
-    info.id = HomeId{id};
-    info.country_code = developed ? "US" : "IN";
-    info.developed = developed;
-    info.reports_devices = true;
-    info.has_always_wired = always_wired;
-    info.has_always_wireless = always_wireless;
-    repo_.register_home(info);
+    repo_.register_home(collect::HomeInfo{.id = HomeId{id},
+                                          .country_code = developed ? "US" : "IN",
+                                          .developed = developed,
+                                          .reports_devices = true,
+                                          .has_always_wired = always_wired,
+                                          .has_always_wireless = always_wireless});
   }
 
   void AddCensus(int id, int wired, int w24, int w5, int unique_total, int unique24,

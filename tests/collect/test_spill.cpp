@@ -8,13 +8,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/fleet.h"
+#include "collect/column_snapshot.h"
 #include "collect/export.h"
 #include "collect/repository.h"
 #include "core/rng.h"
@@ -425,6 +428,97 @@ TEST(SpillFleetSummary, PercentilesWithinEpsOfExactOrderStatistics) {
   ExpectWithinEps(summary.flow_kbytes, flow_kb, "flow size");
 
   std::filesystem::remove_all(dir);
+}
+
+// Rows that share one SortKey across many (shard, run) sections: the merge
+// must fall back to canonical stream order on every tie, as the resident
+// stable sort does. (wifi_scan rows of a home's two bands share one key.)
+class SpillMergeTies : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+/// Section i of k is run i % 2 of shard i / 2 and holds 1 + i % 3 rows,
+/// every row with the same (scanned, home) key and tagged (section, row).
+void StageTiedShard(IngestBatch& batch, const DatasetWindows& w, std::size_t k,
+                    std::size_t shard, bool flush_each_run) {
+  for (std::size_t i = 2 * shard; i < std::min(k, 2 * shard + 2); ++i) {
+    for (std::size_t row = 0; row < 1 + i % 3; ++row) {
+      WifiScanRecord scan;
+      scan.home = HomeId{0};
+      scan.scanned = w.wifi.start + Hours(1);
+      scan.channel = static_cast<int>(i);
+      scan.visible_aps = static_cast<int>(row);
+      batch.add_wifi_scan(scan);
+    }
+    if (flush_each_run) batch.flush_spill();
+  }
+}
+
+TEST_P(SpillMergeTies, MergedOrderEqualsResidentOrder) {
+  const auto [fan_in, k] = GetParam();
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  const std::size_t shards = (k + 1) / 2;
+
+  DataRepository ram(w);
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    IngestBatch batch = ram.make_batch();
+    StageTiedShard(batch, w, k, shard, false);
+    ram.commit(std::move(batch));
+  }
+  ram.finalize_deterministic_order();
+
+  const auto dir = FreshSpillDir("ties");
+  DataRepository spilled(w);
+  SpillConfig cfg;
+  cfg.dir = dir.string();
+  cfg.budget_bytes = 64 << 20;  // no automatic flush: one section per run
+  cfg.workers = 1;
+  cfg.merge_fan_in = fan_in;
+  spilled.enable_spill(cfg);
+  for (std::size_t shard = shards; shard-- > 0;) {  // commits in reverse order
+    IngestBatch batch = spilled.make_batch();
+    batch.attach_spill(spilled.spill(), static_cast<std::uint32_t>(shard), 0);
+    StageTiedShard(batch, w, k, shard, true);
+    spilled.commit(std::move(batch));
+  }
+  spilled.finalize_deterministic_order();
+  ASSERT_EQ(spilled.spill()->sections_of_kind(kRecordIndexOf<WifiScanRecord>).size(), k);
+
+  ExpectSameRows<WifiScanRecord>(ram, spilled);
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(FanInBySections, SpillMergeTies,
+                         ::testing::Combine(::testing::Values(2, 3, 256),
+                                            ::testing::Values(1, 2, 3, 5, 256, 257)));
+
+// One flipped body byte fails both finalize passes closed, at one worker
+// (every sink inline) and at four, and neither hangs.
+TEST(SpillFinalizeCorruption, SummaryThrowsAndSnapshotFails) {
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  for (const std::size_t workers : {1, 4}) {
+    const auto dir = FreshSpillDir(("finalize-flip-w" + std::to_string(workers)).c_str());
+    const auto spilled = BuildSpilled(w, dir, 256, workers);
+    const std::vector<SectionRef> refs =
+        spilled->spill()->sections_of_kind(kRecordIndexOf<WifiScanRecord>);
+    ASSERT_FALSE(refs.empty());
+    const SectionRef& victim = refs[refs.size() / 2];
+    {
+      std::fstream seg(spilled->spill()->file_path(victim.file),
+                       std::ios::binary | std::ios::in | std::ios::out);
+      const auto at = static_cast<std::streamoff>(victim.offset + victim.bytes / 2);
+      seg.seekg(at);
+      char byte = 0;
+      seg.read(&byte, 1);
+      byte = static_cast<char>(byte ^ 0x10);
+      seg.seekp(at);
+      seg.write(&byte, 1);
+    }
+    EXPECT_THROW((void)analysis::SummarizeFleet(*spilled), std::runtime_error)
+        << "workers " << workers;
+    std::string error;
+    EXPECT_FALSE(SaveColumnSnapshot(*spilled, (dir / "snap").string(), &error, workers));
+    EXPECT_NE(error.find("corrupt"), std::string::npos) << error;
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace

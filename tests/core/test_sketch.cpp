@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/crc32c.h"
 #include "core/rng.h"
 #include "core/stats.h"
 
@@ -236,16 +237,20 @@ class SequentialGk {
 };
 
 /// The stream shapes the fleet summary feeds: sorted, reverse-sorted,
-/// all-equal, small integers (visible_aps is 0..40) and a continuous tail.
+/// all-equal, small integers (visible_aps is 0..40) and a continuous tail,
+/// plus zeros of both signs among small integers, whose ties must keep
+/// their arrival order bit for bit.
 std::vector<std::vector<double>> BatchShapes() {
   Rng rng(7020);
-  std::vector<std::vector<double>> shapes(5);
+  std::vector<std::vector<double>> shapes(6);
   for (int i = 0; i < 30000; ++i) {
     shapes[0].push_back(static_cast<double>(i));
     shapes[1].push_back(30000.0 - i);
     shapes[2].push_back(3.0);
     shapes[3].push_back(std::floor(rng.uniform(0.0, 41.0)));
     shapes[4].push_back(rng.pareto(1.0, 1.2));
+    const double r = std::floor(rng.uniform(-2.0, 4.0));
+    shapes[5].push_back(r == 3.0 ? -0.0 : r);
   }
   return shapes;
 }
@@ -315,6 +320,53 @@ TEST(QuantileSketch, ConstQueriesWithPendingAddsDoNotMutate) {
   for (const double v : seen) EXPECT_DOUBLE_EQ(v, p90);
   for (const double v : lows) EXPECT_DOUBLE_EQ(v, 0.0);
   EXPECT_EQ(sketch.Serialize(), before);
+}
+
+/// Fixed streams from a self-contained generator (splitmix64), so the pins
+/// below depend on nothing but the sketch.
+std::vector<double> PinStream(int shape, std::size_t n) {
+  std::uint64_t state = 0x5eed0000u + static_cast<std::uint64_t>(shape);
+  const auto unit = [&state] {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return static_cast<double>((z ^ (z >> 31)) >> 11) * 0x1.0p-53;
+  };
+  std::vector<double> out(n);
+  for (double& v : out) {
+    const double u = unit();
+    switch (shape) {
+      case 0: v = u * 1000.0; break;                          // uniform
+      case 1: v = std::pow(1.0 - u, -1.0 / 1.2); break;       // Pareto(1, 1.2)
+      case 2: v = 3.0; break;                                 // all duplicates
+      default: v = std::floor(u * 41.0); break;               // visible_aps-like
+    }
+  }
+  return out;
+}
+
+// The Serialize() bytes of sketches fed fixed streams, pinned as (length,
+// CRC32C): any rewrite of add/settle/compress must keep every blob
+// bit-identical. 123457 adds leave 57 of them buffered at the end.
+TEST(QuantileSketch, SerializedBytesArePinned) {
+  struct Pin {
+    int shape;
+    std::size_t length;
+    std::uint32_t crc;
+  };
+  const Pin pins[] = {
+      {0, 4884, 0x67d00e9c},
+      {1, 4956, 0xc4c3183f},
+      {2, 4740, 0x0320b5c2},
+      {3, 18588, 0x70842878},
+  };
+  for (const Pin& pin : pins) {
+    QuantileSketch sketch(0.005);
+    for (const double v : PinStream(pin.shape, 123457)) sketch.add(v);
+    const std::string blob = sketch.Serialize();
+    EXPECT_EQ(blob.size(), pin.length) << "shape " << pin.shape;
+    EXPECT_EQ(core::Crc32c(blob.data(), blob.size()), pin.crc) << "shape " << pin.shape;
+  }
 }
 
 }  // namespace
