@@ -192,8 +192,9 @@ struct ChecksumOverhead {
 
 /// Run the same study + full export with CRC verification on vs off on the
 /// merge read path and report the throughput cost of verification.
-/// Exporting is what re-merges every spilled section, so the child streams
-/// all rows to make the verify path the thing being measured. Each mode
+/// The export's first read compacts the run, merging every spilled section
+/// once, so the child streams all rows to make the verify path the thing
+/// being measured. Each mode
 /// takes the best of three runs: the CRC cost is deterministic compute,
 /// while single-sample wall times on a shared runner carry several percent
 /// of scheduler noise — min-of-K isolates the former.

@@ -535,7 +535,7 @@ void BM_SegmentChecksumSoftware(benchmark::State& state) {
 BENCHMARK(BM_SegmentChecksumSoftware);
 
 /// A small spill-backed repository whose sections the verify benchmark
-/// re-merges; built once, so the bench times the read path only.
+/// merges; built once, so the bench times the read path only.
 const collect::DataRepository& SpilledBenchRepo() {
   using namespace collect;
   static const DataRepository* repo = [] {
@@ -573,13 +573,15 @@ const collect::DataRepository& SpilledBenchRepo() {
 }
 
 /// Stream a spilled data set through the k-way merge with CRC verification
-/// on every section — the exact read path a resumed fleet run takes.
+/// on every section — the read path of a fleet run's compaction pass.
+/// Called directly: a repository read would compact once and then scan
+/// columns.
 void BM_SectionVerify(benchmark::State& state) {
   const auto& repo = SpilledBenchRepo();
   for (auto _ : state) {
     std::size_t rows = 0;
-    repo.for_each_row<collect::ThroughputMinute>(
-        [&](const collect::ThroughputMinute&) { ++rows; });
+    collect::ForEachSpilledRow<collect::ThroughputMinute>(
+        *repo.spill(), [&](const collect::ThroughputMinute&) { ++rows; });
     benchmark::DoNotOptimize(rows);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -4,7 +4,7 @@
 //
 // This is the analysis path that works at fleet scale: the repository may
 // be spill-backed (collect/spill.h) or column-backed (collect/
-// column_snapshot.h), in which case `for_each_row` streams segment or
+// column_snapshot.h), in which case its kinds stream from segment or
 // column files and nothing here ever holds a full data set. Per-home
 // scalar accumulators are the only O(homes) state (a few dozen bytes per
 // home); every distribution is an eps-bounded sketch.
@@ -13,8 +13,11 @@
 // producer streams the kind in canonical order — the spill merge, a
 // column scan or the resident rows — and each accumulator is a sink of
 // its own that sees every row in that order, so the kind's merge and its
-// sketches run on separate cores (wifi_scan: a merge and two sketches)
-// while every sketch is still the one a serial scan builds.
+// sketches run on separate cores (wifi_scan: a merge, two sketches and
+// the stripe encoder) while every sketch is still the one a serial scan
+// builds. On a spilled repository this is the compaction pass: the
+// summary's sinks ride on the pipes that write the run's column files, so
+// the one merge of each kind feeds both.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +77,9 @@ struct FleetSummary {
 /// largest kind first; every sink sees its kind's rows in canonical order,
 /// so every sketch is the one a serial scan builds: the result is
 /// bit-identical at any `workers` and across the three backends, and every
-/// distribution stays within eps * n rank error. Throws if a stream fails
-/// (e.g. a corrupt spill section).
+/// distribution stays within eps * n rank error. The first summary of a
+/// spilled repository compacts it (collect/kind_pipes.h). Throws if a
+/// stream fails (e.g. a corrupt spill section).
 [[nodiscard]] FleetSummary SummarizeFleet(const collect::DataRepository& repo,
                                           std::size_t workers);
 

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "collect/binio.h"
+#include "collect/column_writer.h"
 #include "collect/frame.h"
 #include "collect/kind_pipes.h"
 #include "core/crc32c.h"
@@ -19,181 +20,71 @@ namespace {
 
 [[noreturn]] void Throw(const std::string& why) { throw std::runtime_error("snapshot: " + why); }
 
-/// The frame of field `field`'s section in stripe `stripe`, as the meta
-/// table describes it.
-Frame FrameOf(const ColumnSectionMeta& sec, std::size_t field, std::size_t stripe,
-              std::uint64_t rows) {
-  return Frame{kColumnSectionMagic,
-               {static_cast<std::uint32_t>(field), static_cast<std::uint32_t>(stripe),
-                sec.encoding},
-               rows,
-               sec.body_bytes,
-               sec.crc,
-               kColumnSectionEndMagic};
+/// Put `from`'s bytes at `to` without writing them again: a hard link when
+/// the filesystem grants one, else a fsynced copy. Either way through a
+/// temporary renamed into place.
+void LinkOrCopy(const std::string& from, const std::string& to) {
+  const std::string tmp = to + kTempSuffix;
+  std::filesystem::remove(tmp);
+  std::string error;
+  if (!core::Io::Active().link(from, tmp, &error)) {
+    core::MappedFile in;
+    if (!in.open(from, &error)) Throw(error);
+    core::CheckedFile out;
+    if (!OpenTempFile(out, to) || !out.write(in.data(), in.size()) || !out.sync() ||
+        !out.close()) {
+      Throw(out.error());
+    }
+  }
+  CommitTempFile(to);
 }
-
-/// One stripe's worth of buffered columns for kind T. `primary` holds the
-/// raw fixed-width values (or the u32 cumulative end offsets for string
-/// fields, whose payloads accumulate in `blob`). This is the writer's only
-/// O(data) state, bounded by the stripe limits.
-template <typename T>
-struct StripeBuilder {
-  static constexpr std::size_t kNumFields = TableView<T>::kNumFields;
-
-  std::array<std::string, kNumFields> primary;
-  std::array<std::string, kNumFields> blob;
-  std::uint64_t rows{0};
-  std::size_t bytes{0};
-
-  void add(const T& row) {
-    std::size_t f = 0;
-    std::apply([&](const auto&... field) { (add_field(f++, row.*(field.member)), ...); },
-               Schema<T>::Fields());
-    ++rows;
-  }
-
-  template <typename V>
-  void add_field(std::size_t f, const V& v) {
-    if constexpr (std::is_same_v<V, std::string>) {
-      blob[f].append(v);
-      AppendLe(primary[f], static_cast<std::uint32_t>(blob[f].size()));
-      bytes += v.size() + 4;
-    } else {
-      FieldCodec<V>::Store(primary[f], v);
-      bytes += FieldCodec<V>::kWidth;
-    }
-  }
-
-  /// Frame and append every buffered column as one stripe of sections,
-  /// then reset. `offset` tracks the file write position.
-  ColumnStripeMeta flush_to(core::CheckedFile& file, std::uint64_t& offset,
-                            std::size_t stripe_index) {
-    ColumnStripeMeta sm;
-    sm.rows = rows;
-    const auto encodings = ColumnEncodings<T>();
-    for (std::size_t f = 0; f < kNumFields; ++f) {
-      ColumnSectionMeta sec;
-      sec.body_offset = offset + kFrameHeaderBytes;
-      sec.body_bytes = primary[f].size() + blob[f].size();
-      sec.encoding = encodings[f];
-      sec.crc = core::Crc32c(blob[f].data(), blob[f].size(),
-                             core::Crc32c(primary[f].data(), primary[f].size()));
-      const Frame frame = FrameOf(sec, f, stripe_index, rows);
-      const auto header = FrameHeader(frame);
-      const auto footer = FrameFooter(frame);
-      file.write(header.data(), header.size());
-      file.write(primary[f]);
-      file.write(blob[f]);
-      file.write(footer.data(), footer.size());
-      offset = sec.body_offset + sec.body_bytes + footer.size();
-
-      const std::size_t pad = (8 - (offset % 8)) % 8;
-      if (pad != 0) {
-        static const char kZeros[8] = {};
-        file.write(kZeros, pad);
-        offset += pad;
-      }
-      primary[f].clear();
-      blob[f].clear();
-      sm.sections.push_back(sec);
-    }
-    rows = 0;
-    bytes = 0;
-    if (!file.ok()) Throw(file.error());
-    return sm;
-  }
-};
-
-/// Writes kind T's `rows` rows, batch by batch, into <dir>/<kind>.bsmkcol:
-/// the snapshot writer's sink on the kind's pipe. The batch that brings the
-/// last row also writes the last stripe, syncs and closes the file and
-/// frees the stripe buffers. Throws std::runtime_error on any I/O failure
-/// or when the stream holds more rows than the repository counted.
-template <typename T>
-class KindColumnWriter {
- public:
-  KindColumnWriter(const std::string& dir, ColumnKindMeta& meta, std::uint64_t rows)
-      : meta_(meta) {
-    meta_.rows = rows;
-    meta_.file = std::string(Schema<T>::kKindName) + kColumnFileSuffix;
-    if (!file_.open(dir + "/" + meta_.file)) Throw(file_.error());
-    std::string header;
-    AppendLe(header, kColumnFileMagic);
-    AppendLe(header, static_cast<std::uint32_t>(kRecordIndexOf<T>));
-    AppendLe(header, static_cast<std::uint32_t>(TableView<T>::kNumFields));
-    AppendLe(header, std::uint32_t{0});
-    file_.write(header);
-    offset_ = header.size();
-  }
-
-  void add(std::span<const T> rows) {
-    if (seen_ + rows.size() > meta_.rows) {
-      Throw(std::string(Schema<T>::kKindName) + ": more rows streamed than counted");
-    }
-    for (const T& row : rows) {
-      builder_->add(row);
-      if (builder_->rows >= kColumnStripeRows || builder_->bytes >= kColumnStripeBytes) {
-        meta_.stripes.push_back(builder_->flush_to(file_, offset_, meta_.stripes.size()));
-      }
-    }
-    seen_ += rows.size();
-    if (seen_ < meta_.rows) return;
-    if (builder_->rows > 0) {
-      meta_.stripes.push_back(builder_->flush_to(file_, offset_, meta_.stripes.size()));
-    }
-    builder_.reset();
-    if (!file_.sync() || !file_.close()) Throw(file_.error());
-  }
-
- private:
-  ColumnKindMeta& meta_;
-  core::CheckedFile file_;
-  std::uint64_t offset_{0};
-  std::uint64_t seen_{0};
-  std::unique_ptr<StripeBuilder<T>> builder_ = std::make_unique<StripeBuilder<T>>();
-};
 
 }  // namespace
 
-bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
-                        std::string* error, std::size_t workers) {
-  const auto fail = [error](const std::string& why) {
-    if (error != nullptr) *error = why.rfind("snapshot: ", 0) == 0 ? why : "snapshot: " + why;
-    return false;
-  };
+bool OpenTempFile(core::CheckedFile& file, const std::string& path) {
+  const std::string tmp = path + kTempSuffix;
   std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return fail("cannot create " + dir + ": " + ec.message());
+  std::filesystem::remove(tmp, ec);
+  return file.open(tmp);
+}
 
-  // One pipe per non-empty kind: the kind's merge or scan streams into its
-  // stripe encoder, which owns the kind's file, so output bytes are
-  // identical at any worker count.
-  std::array<ColumnKindMeta, kRecordKinds> kinds;
-  try {
-    KindPipes pipes(repo);
-    ForEachRecordType([&](auto tag) {
-      using T = typename decltype(tag)::type;
-      const std::uint64_t rows = repo.row_count<T>();
-      if (rows == 0) return;
-      auto writer = std::make_shared<KindColumnWriter<T>>(dir, kinds[kRecordIndexOf<T>], rows);
-      pipes.add<T>({[writer](std::span<const T> batch) { writer->add(batch); }});
-    });
-    pipes.run(workers);
-  } catch (const std::exception& e) {
-    return fail(e.what());
-  }
+void CommitTempFile(const std::string& path) {
+  std::error_code ec;
+  std::filesystem::rename(path + kTempSuffix, path, ec);
+  if (ec) Throw("cannot rename " + path + kTempSuffix + ": " + ec.message());
+}
+
+void CheckEveryRowWritten(const std::array<ColumnKindMeta, kRecordKinds>& kinds) {
   for (const ColumnKindMeta& km : kinds) {
     std::uint64_t written = 0;
     for (const ColumnStripeMeta& sm : km.stripes) written += sm.rows;
-    if (written != km.rows) return fail(km.file + ": fewer rows streamed than counted");
+    if (written != km.rows) Throw(km.file + ": fewer rows streamed than counted");
   }
+}
 
+void WriteColumnMeta(const std::string& dir, const DataRepository& repo,
+                     const std::array<ColumnKindMeta, kRecordKinds>& kinds) {
+  const std::string path = dir + "/" + kColumnMetaFile;
+  core::CheckedFile file;
+  if (!OpenTempFile(file, path)) Throw(file.error());
+  // Streamed in 64 KiB pieces with a running CRC: the home roster alone
+  // is megabytes at fleet scale.
   BinWriter w;
+  std::uint32_t crc = 0;
+  const auto drain = [&](std::size_t above) {
+    if (w.size() < above) return;
+    crc = core::Crc32c(w.buffer().data(), w.size(), crc);
+    file.write(w.buffer());
+    w.clear();
+  };
   w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
   w.u32(kColumnSnapshotVersion);
   w.value(repo.windows());
   w.u32(static_cast<std::uint32_t>(repo.homes().size()));
-  for (const HomeInfo& home : repo.homes()) EncodeHome(w, home);
+  for (const HomeInfo& home : repo.homes()) {
+    EncodeHome(w, home);
+    drain(64 * 1024);
+  }
   w.u32(static_cast<std::uint32_t>(kRecordKinds));
   ForEachRecordType([&](auto tag) {
     using T = typename decltype(tag)::type;
@@ -213,18 +104,61 @@ bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
         w.u32(sec.crc);
         w.u32(sec.encoding);
       }
+      drain(64 * 1024);
     }
   });
-  const std::uint32_t crc = core::Crc32c(w.buffer().data(), w.buffer().size());
+  drain(0);
+  w.u32(crc);
+  if (!file.write(w.buffer()) || !file.sync() || !file.close()) Throw(file.error());
+  CommitTempFile(path);
+}
 
-  // Meta last, fsynced: a directory with a valid meta file is complete.
-  core::CheckedFile file;
-  if (!file.open(dir + "/" + kColumnMetaFile)) return fail(file.error());
-  file.write(w.buffer());
-  std::string trailer;
-  AppendLe(trailer, crc);
-  file.write(trailer);
-  if (!file.sync() || !file.close()) return fail(file.error());
+bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
+                        std::string* error, std::size_t workers) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  try {
+    if (ec) Throw("cannot create " + dir + ": " + ec.message());
+    std::array<ColumnKindMeta, kRecordKinds> kinds;
+    // Column-backed (a spilled repository compacts here if no read has):
+    // the kind files exist, so link them. Resident: one pipe per non-empty
+    // kind streams into its stripe encoder, which owns the kind's file, so
+    // output bytes are identical at any worker count.
+    const ColumnSnapshot* columns = repo.columns();
+    const bool in_place = columns != nullptr && fs::equivalent(columns->dir(), dir);
+    std::string io_error;
+    if (!in_place) {
+      // Meta last, so a directory with a valid meta is complete: the old
+      // meta goes (durably) before any kind file is replaced.
+      fs::remove(dir + "/" + kColumnMetaFile);
+      if (!core::Io::Active().sync_dir(dir, &io_error)) Throw(io_error);
+    }
+    if (columns != nullptr) {
+      for (std::size_t kind = 0; kind < kRecordKinds; ++kind) {
+        kinds[kind] = columns->kind_meta(kind);
+        const std::string& file = kinds[kind].file;
+        if (!file.empty() && !in_place) LinkOrCopy(columns->dir() + "/" + file, dir + "/" + file);
+      }
+    } else {
+      KindPipes pipes(repo);
+      ForEachRecordType([&](auto tag) {
+        using T = typename decltype(tag)::type;
+        const std::uint64_t rows = repo.row_count<T>();
+        if (rows == 0) return;
+        auto writer = std::make_shared<KindColumnWriter<T>>(dir, kinds[kRecordIndexOf<T>], rows);
+        pipes.add<T>({[writer](std::span<const T> batch) { writer->add(batch); }});
+      });
+      pipes.run(workers);
+      CheckEveryRowWritten(kinds);
+    }
+    WriteColumnMeta(dir, repo, kinds);
+    if (!core::Io::Active().sync_dir(dir, &io_error)) Throw(io_error);
+  } catch (const std::exception& e) {
+    const std::string why = e.what();
+    if (error != nullptr) *error = why.rfind("snapshot: ", 0) == 0 ? why : "snapshot: " + why;
+    return false;
+  }
   return true;
 }
 
@@ -235,7 +169,8 @@ bool IsColumnSnapshotDir(const std::string& path) {
 }
 
 std::shared_ptr<const ColumnSnapshot> ColumnSnapshot::Open(const std::string& dir,
-                                                           std::string* error) {
+                                                           std::string* error,
+                                                           std::vector<HomeInfo>* homes) {
   const auto fail = [error](const std::string& why) {
     if (error != nullptr) *error = "snapshot: " + why;
     return std::shared_ptr<const ColumnSnapshot>();
@@ -272,7 +207,8 @@ std::shared_ptr<const ColumnSnapshot> ColumnSnapshot::Open(const std::string& di
   r.value(snap->windows_);
   const std::uint32_t home_count = r.u32();
   for (std::uint32_t i = 0; i < home_count && !r.failed(); ++i) {
-    snap->homes_.push_back(DecodeHome(r));
+    HomeInfo home = DecodeHome(r);
+    if (homes != nullptr) homes->push_back(std::move(home));
   }
 
   const std::uint32_t kind_count = r.u32();
@@ -397,7 +333,7 @@ void ColumnSnapshot::ensure_kind_open(std::size_t kind) const {
           sec.body_offset + sec.body_bytes + kFrameFooterBytes > size) {
         corrupt(s, f, "section out of bounds (truncated file?)");
       }
-      const Frame want = FrameOf(sec, f, s, sm.rows);
+      const Frame want = ColumnFrameOf(sec, f, s, sm.rows);
       const char* body = data + sec.body_offset;
       if (!CheckFrameHeader(body - kFrameHeaderBytes, want, &why) ||
           !CheckFrameFooter(body + sec.body_bytes, want, &why) ||
@@ -423,10 +359,11 @@ void ColumnSnapshot::ensure_kind_open(std::size_t kind) const {
 
 std::unique_ptr<DataRepository> OpenColumnSnapshot(const std::string& dir,
                                                    std::string* error) {
-  std::shared_ptr<const ColumnSnapshot> snap = ColumnSnapshot::Open(dir, error);
+  std::vector<HomeInfo> homes;
+  std::shared_ptr<const ColumnSnapshot> snap = ColumnSnapshot::Open(dir, error, &homes);
   if (snap == nullptr) return nullptr;
   auto repo = std::make_unique<DataRepository>(snap->windows());
-  for (const HomeInfo& home : snap->homes()) repo->register_home(home);
+  for (HomeInfo& home : homes) repo->register_home(std::move(home));
   repo->attach_columns(std::move(snap));
   return repo;
 }

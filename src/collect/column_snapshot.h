@@ -35,14 +35,19 @@
 // core::IoReadStats counters, which is how tests prove a single-figure
 // query touched only its own kind segments.
 //
-// The writer streams through DataRepository::for_each_row, so it works
-// from the in-RAM store, a spill directory (bounded by one stripe of
-// buffered columns — fleet mode under --memory-budget-mb), or another
-// snapshot. Each kind is one pipe (collect/kind_pipes.h) on
-// bismark::ThreadPool: the kind's merge or scan is the producer and its
-// stripe encoder the sink, so the two run on separate cores, and kinds run
-// side by side, largest first (each kind owns its file, so bytes are
-// identical at any worker count).
+// One writer encodes every column file (collect/column_writer.h): each
+// kind is one pipe (collect/kind_pipes.h) on bismark::ThreadPool whose
+// producer streams the kind in canonical order and whose stripe encoder is
+// a sink, so the two run on separate cores, and kinds run side by side,
+// largest first (each kind owns its file, so bytes are identical at any
+// worker count). A resident repository is encoded by SaveColumnSnapshot. A
+// spilled one is encoded once, by its compaction pass, into the spill
+// directory itself (which is then a snapshot directory too, and
+// `analyze`-able); SaveColumnSnapshot of it hard-links those kind files
+// and writes the meta. Files are written as "<name>.tmp", fsynced and
+// renamed over their final name, never rewritten in place: a linked
+// snapshot keeps its bytes whatever later happens to the spill dir (a
+// resume, or a fresh run that unlinks it).
 #pragma once
 
 #include <array>
@@ -92,11 +97,16 @@ struct ColumnKindMeta {
   std::vector<ColumnStripeMeta> stripes;
 };
 
-/// Write `repo` as a v3 snapshot directory (created if missing; existing
-/// snapshot files are overwritten). Kind files are written by one pipe per
-/// kind on `workers` threads. Returns false with *error on any I/O or encoding
-/// failure — partial output may remain, but the meta file is written last
-/// and fsynced, so a directory with a valid meta is complete.
+/// Write `repo` as a v3 snapshot directory (created if missing). A
+/// resident repository is encoded by one pipe per kind on `workers`
+/// threads. A column-backed one — opened from a snapshot, or spilled and
+/// compacted (compacting here if no read has yet) — already has its kind
+/// files: they are hard-linked into `dir`, or copied where the filesystem
+/// refuses the link. Existing files are replaced by rename, never
+/// rewritten, so a snapshot linked to them keeps its bytes. Returns false
+/// with *error on any I/O or encoding failure — partial output may remain,
+/// but the old meta goes first and the new one last (fsynced, then the
+/// directory), so a directory with a valid meta is complete.
 bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
                         std::string* error, std::size_t workers = 1);
 
@@ -111,13 +121,14 @@ bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
 class ColumnSnapshot {
  public:
   /// Parse + checksum <dir>/snapshot.bsmkmeta. nullptr + *error on failure
-  /// (bad magic/version/CRC, schema drift, malformed section table).
+  /// (bad magic/version/CRC, schema drift, malformed section table). The
+  /// home roster goes to *homes if non-null; the snapshot keeps no copy.
   static std::shared_ptr<const ColumnSnapshot> Open(const std::string& dir,
-                                                    std::string* error);
+                                                    std::string* error,
+                                                    std::vector<HomeInfo>* homes = nullptr);
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
   [[nodiscard]] const DatasetWindows& windows() const { return windows_; }
-  [[nodiscard]] const std::vector<HomeInfo>& homes() const { return homes_; }
 
   [[nodiscard]] std::uint64_t rows_of_kind(std::size_t kind) const {
     return kinds_[kind].meta.rows;
@@ -125,6 +136,10 @@ class ColumnSnapshot {
   [[nodiscard]] std::uint64_t total_rows() const { return total_rows_; }
   [[nodiscard]] std::size_t stripes_of_kind(std::size_t kind) const {
     return kinds_[kind].meta.stripes.size();
+  }
+  /// The kind's meta-table entry (file name, rows, stripe sections).
+  [[nodiscard]] const ColumnKindMeta& kind_meta(std::size_t kind) const {
+    return kinds_[kind].meta;
   }
 
   /// Map + frame/CRC-verify kind's column file. First call per kind does
@@ -180,7 +195,6 @@ class ColumnSnapshot {
 
   std::string dir_;
   DatasetWindows windows_;
-  std::vector<HomeInfo> homes_;
   std::uint64_t total_rows_{0};
   std::array<KindState, kRecordKinds> kinds_;
   mutable std::mutex open_mu_;

@@ -25,6 +25,7 @@ enum RecordType : std::uint8_t {
   kSectionRecord = 3,
   kShardDoneRecord = 4,
   kCheckpointRecord = 5,
+  kCompactedRecord = 6,
 };
 
 }  // namespace
@@ -128,6 +129,12 @@ void ManifestWriter::checkpoint(const ManifestCheckpoint& ckpt) {
   append(kCheckpointRecord, w.buffer());
 }
 
+void ManifestWriter::compacted(const ManifestCompaction& compaction) {
+  BinWriter w;
+  for (const std::uint64_t rows : compaction.rows) w.u64(rows);
+  append(kCompactedRecord, w.buffer());
+}
+
 void ManifestWriter::sync() {
   if (!out_.sync()) {
     throw std::runtime_error("spill: manifest fsync failed: " + out_.error());
@@ -143,6 +150,8 @@ struct Replay {
   ManifestConfig config;
   bool has_checkpoint{false};
   ManifestCheckpoint checkpoint;
+  bool compacted{false};
+  ManifestCompaction compaction;
   std::vector<std::string> files;
   /// Every committed section, all shards, tagged with the generation whose
   /// config record was in effect when it was appended. A shard's sections
@@ -277,6 +286,14 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
         out->checkpoint = ckpt;  // last checkpoint wins
         break;
       }
+      case kCompactedRecord: {
+        ManifestCompaction compaction;
+        for (std::uint64_t& rows : compaction.rows) rows = r.u64();
+        if (r.failed() || !r.at_end()) return stop("malformed compacted record");
+        out->compacted = true;
+        out->compaction = compaction;
+        break;
+      }
       default:
         return stop("unknown record type");
     }
@@ -353,6 +370,8 @@ bool RecoverSpillDir(const std::string& dir, SpillRecovery* out, std::string* er
   rec.config = replay.config;
   rec.has_checkpoint = replay.has_checkpoint;
   rec.checkpoint = replay.checkpoint;
+  rec.compacted = replay.compacted;
+  rec.compaction = replay.compaction;
   rec.files = replay.files;
   if (!replay.has_config) {
     rec.diagnostics.push_back("manifest has no committed run config; all shards pending");
@@ -368,6 +387,31 @@ bool RecoverSpillDir(const std::string& dir, SpillRecovery* out, std::string* er
         "schema fingerprint mismatch: segments were written by an incompatible build and "
         "cannot be resumed";
     return false;
+  }
+
+  if (replay.compacted) {
+    // Every shard was done before the compaction read the segments, and
+    // the columns hold their rows: nothing to verify. Finish the cleanup a
+    // crash after the record may have interrupted.
+    std::uint64_t removed = 0;
+    for (const std::string& name : replay.files) {
+      std::error_code ec;
+      if (fs::remove(dir + "/" + name, ec)) ++removed;
+      if (ec) {
+        *error = "cannot unlink compacted segment " + name + ": " + ec.message();
+        return false;
+      }
+    }
+    for (const auto& [shard, done] : replay.shard_homes) {
+      rec.done_shards.push_back(shard);
+      rec.homes.insert(rec.homes.end(), done.homes.begin(), done.homes.end());
+    }
+    if (removed > 0) {
+      rec.diagnostics.push_back("unlinked " + std::to_string(removed) +
+                                " segment files a crash left after compaction");
+    }
+    *out = std::move(rec);
+    return true;
   }
 
   // Partition committed sections by shard; only shards with a shard-done

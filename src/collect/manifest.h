@@ -12,6 +12,15 @@
 // it (per-home content is a pure function of (seed, home id), so a re-run
 // shard reproduces the same bytes).
 //
+// Compaction (DESIGN §12): the first streaming read of a finished run
+// merges the segments into column files in the same directory. Its
+// compacted record is appended only after those files, their meta and the
+// directory entries are fsynced, and the segments are unlinked only after
+// the record is. Recovery of a directory whose manifest holds the record
+// skips section verification, adopts the columns and unlinks any segment
+// left by a crash between the record and the unlinks; without the record
+// it recovers the segments and the next read compacts again.
+//
 // Record framing: u32 body_len | body | u32 crc32c(body), body = u8 type +
 // payload. File starts with the 8-byte magic "BSMKMAN2".
 //
@@ -59,6 +68,12 @@ struct ManifestCheckpoint {
   std::string sketch_blob;        ///< serialized sketches (may be empty)
 };
 
+/// The kCompacted record: every committed row now lives in the directory's
+/// column files, `rows[kind]` of each kind.
+struct ManifestCompaction {
+  std::array<std::uint64_t, kRecordKinds> rows{};
+};
+
 /// Serialised writer for the manifest file. Thread-compatible; SpillDir
 /// serialises access under its own mutex. All methods throw on I/O failure
 /// — a manifest that cannot be appended means durability is gone.
@@ -72,6 +87,7 @@ class ManifestWriter {
   void section(const SectionRef& ref);
   void shard_done(std::uint32_t shard, const std::vector<HomeInfo>& homes);
   void checkpoint(const ManifestCheckpoint& ckpt);
+  void compacted(const ManifestCompaction& compaction);
 
   /// fsync the manifest (checkpoints call this; plain records only flush).
   void sync();
@@ -92,6 +108,11 @@ struct SpillRecovery {
 
   bool has_checkpoint{false};
   ManifestCheckpoint checkpoint;
+
+  /// The run was compacted: its rows are in the directory's column files,
+  /// `sections` is empty and every shard with a shard-done record is done.
+  bool compacted{false};
+  ManifestCompaction compaction;
 
   /// File table: id -> name relative to the spill dir.
   std::vector<std::string> files;
@@ -114,7 +135,8 @@ struct SpillRecovery {
 
 /// Replay `dir`'s manifest and verify every referenced section. Truncates
 /// the manifest's torn tail and segment-file garbage past the last committed
-/// byte (mutates the directory — recovery is a write operation). Returns
+/// byte, or — once compacted — unlinks every segment file left behind
+/// (mutates the directory — recovery is a write operation). Returns
 /// false with *error when the directory is not resumable at all (missing or
 /// unrecognisable manifest, no committed config, schema mismatch).
 bool RecoverSpillDir(const std::string& dir, SpillRecovery* out, std::string* error);

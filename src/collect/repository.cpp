@@ -1,7 +1,10 @@
 #include "collect/repository.h"
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "collect/column_snapshot.h"
+#include "collect/kind_pipes.h"
 #include "collect/manifest.h"
 
 namespace bismark::collect {
@@ -100,6 +103,27 @@ void DataRepository::enable_spill_recovered(SpillConfig config, const SpillRecov
   // Completed shards' homes come from the manifest, not a re-run;
   // finalize_deterministic_order() restores the canonical order later.
   for (const HomeInfo& home : recovered.homes) register_home(home);
+  if (!recovered.compacted) return;
+  std::string error;
+  columns_ = ColumnSnapshot::Open(spill_->config().dir, &error);
+  if (columns_ == nullptr) throw std::runtime_error("resume: compacted run unreadable: " + error);
+  for (std::size_t kind = 0; kind < kRecordKinds; ++kind) {
+    if (columns_->rows_of_kind(kind) != recovered.compaction.rows[kind]) {
+      throw std::runtime_error(std::string("resume: compacted ") + RecordKindName(kind) +
+                               " rows disagree with the manifest");
+    }
+  }
+}
+
+const ColumnSnapshot* DataRepository::columns() const {
+  if (spill_ == nullptr) return columns_.get();
+  {
+    const std::lock_guard<std::mutex> lock(compact_mu_);
+    if (columns_ != nullptr) return columns_.get();
+  }
+  KindPipes(*this).run(spill_->config().workers);  // the compaction pass
+  const std::lock_guard<std::mutex> lock(compact_mu_);
+  return columns_.get();
 }
 
 void DataRepository::finalize_deterministic_order() {

@@ -5,6 +5,13 @@
 // the schema layer (collect/schema.h + collect/store.h): both the
 // thread-private IngestBatch and the merged DataRepository are one
 // RecordStore plus bookkeeping.
+//
+// A repository is read in one of two modes: resident (the RecordStore's
+// vectors) or columns (a v3 columnar snapshot, collect/column_snapshot.h).
+// A fleet run ingests into spill segments (collect/spill.h), which are
+// never read row by row: the first streaming read compacts them, merging
+// every kind once into column files in the spill directory, and from then
+// on the repository reads those columns (collect/kind_pipes.h).
 #pragma once
 
 #include <array>
@@ -25,6 +32,7 @@
 namespace bismark::collect {
 
 class ColumnSnapshot;
+class SpillCompaction;
 
 /// Stream every row of kind T from an opened v3 columnar snapshot in
 /// canonical order. Declared here (defined + explicitly instantiated in
@@ -162,12 +170,15 @@ class DataRepository final : public RecordSink {
   /// Route record storage through a spill-to-disk segment directory
   /// (collect/spill.h). Must be called before any ingest; batches made
   /// after this stage to disk once past the flush threshold and `rows<T>()`
-  /// stays empty — readers use `for_each_row<T>()` instead. The in-RAM and
-  /// spilled paths produce byte-identical canonical row orders.
+  /// stays empty — readers use `for_each_row<T>()` instead, and the first
+  /// of them compacts the segments into columns. The in-RAM and spilled
+  /// paths produce byte-identical canonical row orders.
   void enable_spill(SpillConfig config);
   /// Resume variant: adopt a recovered spill directory's committed sections
-  /// and register the homes its completed shards contributed
-  /// (collect/manifest.h).
+  /// (or, once compacted, its column files) and register the homes its
+  /// completed shards contributed (collect/manifest.h). Throws if a
+  /// compacted directory's columns do not open or disagree with the
+  /// manifest's row counts.
   void enable_spill_recovered(SpillConfig config, const SpillRecovery& recovered);
   [[nodiscard]] bool spilling() const { return spill_ != nullptr; }
   [[nodiscard]] SpillDir* spill() const { return spill_.get(); }
@@ -179,9 +190,13 @@ class DataRepository final : public RecordSink {
   void attach_columns(std::shared_ptr<const ColumnSnapshot> columns) {
     columns_ = std::move(columns);
   }
+  /// True once reads scan columns: attached, or compacted from spill.
   [[nodiscard]] bool column_backed() const { return columns_ != nullptr; }
-  /// The backing snapshot (nullptr unless column-backed).
-  [[nodiscard]] const ColumnSnapshot* columns() const { return columns_.get(); }
+  /// The columns every read scans: the attached snapshot, or a spilled
+  /// repository's compacted column files — compacting it first if no read
+  /// has yet. nullptr for a resident repository. Throws if the compaction
+  /// fails (e.g. a corrupt section); the next call tries again.
+  [[nodiscard]] const ColumnSnapshot* columns() const;
 
   /// Impose the canonical record order: every data set stably sorted by
   /// its Schema<>::SortKey — (timestamp, home id) for timestamped sets.
@@ -199,30 +214,28 @@ class DataRepository final : public RecordSink {
     return store_.rows<T>();
   }
 
-  /// Stream every row of kind T in canonical order, resident or spilled.
-  /// The only repository read path that works at fleet scale; export and
-  /// the snapshot writer are built on it. Requires
-  /// finalize_deterministic_order() first on the in-RAM path.
+  /// Stream every row of kind T in canonical order, from the resident
+  /// vectors or from columns() (a spilled repository compacts first). The
+  /// only repository read path that works at fleet scale; export and the
+  /// analyses are built on it. Requires finalize_deterministic_order()
+  /// first on the in-RAM path.
   template <typename T, typename Fn>
   void for_each_row(Fn&& fn) const {
-    if (columns_ != nullptr) {
-      ForEachColumnRow<T>(*columns_, std::function<void(const T&)>(std::forward<Fn>(fn)));
-      return;
-    }
-    if (spill_ != nullptr) {
-      ForEachSpilledRow<T>(*spill_, std::function<void(const T&)>(std::forward<Fn>(fn)));
+    if (const ColumnSnapshot* columns = this->columns()) {
+      ForEachColumnRow<T>(*columns, std::function<void(const T&)>(std::forward<Fn>(fn)));
       return;
     }
     for (const T& row : store_.rows<T>()) fn(row);
   }
 
   /// Row count of kind T, resident, spilled, or column-backed.
+  /// A spilled repository counts from its manifest, compacted or not.
   template <typename T>
   [[nodiscard]] std::size_t row_count() const {
-    if (columns_ != nullptr) return ColumnRowCount(*columns_, kRecordIndexOf<T>);
     if (spill_ != nullptr) {
       return static_cast<std::size_t>(spill_->rows_of_kind(kRecordIndexOf<T>));
     }
+    if (columns_ != nullptr) return ColumnRowCount(*columns_, kRecordIndexOf<T>);
     return store_.rows<T>().size();
   }
 
@@ -263,8 +276,8 @@ class DataRepository final : public RecordSink {
 
   /// Rows across every data set, resident, spilled, or column-backed.
   [[nodiscard]] std::size_t total_rows() const {
-    if (columns_ != nullptr) return ColumnTotalRows(*columns_);
     if (spill_ != nullptr) return static_cast<std::size_t>(spill_->total_rows());
+    if (columns_ != nullptr) return ColumnTotalRows(*columns_);
     return store_.total_rows();
   }
 
@@ -276,13 +289,18 @@ class DataRepository final : public RecordSink {
   [[nodiscard]] Counts counts() const;
 
  private:
+  friend class SpillCompaction;
+
   DatasetWindows windows_;
   std::mutex commit_mu_;
   std::vector<HomeInfo> homes_;
   RecordStore store_;
-  // Mutable: merge passes write scratch sections during const reads.
+  // Mutable: the compaction pass, a const read, writes the spill dir.
   mutable std::unique_ptr<SpillDir> spill_;
-  std::shared_ptr<const ColumnSnapshot> columns_;
+  // A spilled repository's columns are set once, by the compaction pass,
+  // under compact_mu_.
+  mutable std::mutex compact_mu_;
+  mutable std::shared_ptr<const ColumnSnapshot> columns_;
 };
 
 }  // namespace bismark::collect

@@ -102,10 +102,34 @@ void SegmentLog::sync() {
   if (out_.is_open()) check(out_.sync(), "fsync");
 }
 
+void SegmentLog::close() {
+  if (out_.is_open()) check(out_.close(), "close");
+}
+
 // --- SpillDir ---------------------------------------------------------------
+
+namespace {
+
+/// Unlink every file an earlier run can have left in `dir`: its manifest,
+/// segments, column files, meta and half-written temporaries. Unlinking,
+/// not truncating, leaves a snapshot's hard links to earlier column files
+/// untouched.
+void RemoveEarlierRun(const std::string& dir) {
+  namespace fs = std::filesystem;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    const std::string ext = entry.path().extension().string();
+    if (ext == ".bsmkman" || ext == ".bsmkseg" || ext == ".bsmkcol" || ext == ".bsmkmeta" ||
+        ext == ".tmp") {
+      fs::remove(entry.path());
+    }
+  }
+}
+
+}  // namespace
 
 SpillDir::SpillDir(SpillConfig config) : config_(std::move(config)) {
   std::filesystem::create_directories(config_.dir);
+  RemoveEarlierRun(config_.dir);
   open_generation_logs();
   manifest_ = std::make_unique<ManifestWriter>();
   manifest_->open(config_.dir + "/manifest.bsmkman", /*fresh=*/true);
@@ -119,6 +143,10 @@ SpillDir::SpillDir(SpillConfig config, const SpillRecovery& recovered)
   sections_ = recovered.sections;
   for (std::size_t kind = 0; kind < kRecordKinds; ++kind) {
     for (const SectionRef& ref : sections_[kind]) rows_[kind] += ref.rows;
+  }
+  if (recovered.compacted) {
+    compacted_ = true;
+    rows_ = recovered.compaction.rows;
   }
   const std::uint32_t first_new = static_cast<std::uint32_t>(file_names_.size());
   open_generation_logs();
@@ -135,19 +163,20 @@ void SpillDir::open_generation_logs() {
   const std::size_t workers = config_.workers ? config_.workers : 1;
   const std::uint32_t base = static_cast<std::uint32_t>(file_names_.size());
   const std::string gen = "seg-g" + std::to_string(generation_) + "-";
-  logs_.reserve(workers + 1);
-  for (std::size_t i = 0; i < workers; ++i) {
-    file_names_.push_back(gen + "w" + std::to_string(i) + ".bsmkseg");
-    logs_.push_back(std::make_unique<SegmentLog>(config_.dir + "/" + file_names_.back(),
-                                                 base + static_cast<std::uint32_t>(i)));
+  const auto add_log = [&](const std::string& name) {
+    file_names_.push_back(gen + name + ".bsmkseg");
+    logs_.push_back(std::make_unique<SegmentLog>(
+        config_.dir + "/" + file_names_.back(), base + static_cast<std::uint32_t>(logs_.size())));
+  };
+  logs_.reserve(workers + kRecordKinds);
+  for (std::size_t i = 0; i < workers; ++i) add_log("w" + std::to_string(i));
+  for (std::size_t kind = 0; kind < kRecordKinds; ++kind) {
+    add_log("merge-" + std::string(RecordKindName(kind)));
   }
-  file_names_.push_back(gen + "merge.bsmkseg");
-  logs_.push_back(std::make_unique<SegmentLog>(config_.dir + "/" + file_names_.back(),
-                                               base + static_cast<std::uint32_t>(workers)));
 }
 
 SegmentLog& SpillDir::log_for_worker(std::size_t worker) {
-  return *logs_[worker < logs_.size() - 1 ? worker : 0];
+  return *logs_[worker < logs_.size() - kRecordKinds ? worker : 0];
 }
 
 std::string SpillDir::file_path(std::uint32_t file_index) const {
@@ -157,6 +186,7 @@ std::string SpillDir::file_path(std::uint32_t file_index) const {
 void SpillDir::register_section(std::size_t kind, SectionRef ref) {
   ref.kind = static_cast<std::uint32_t>(kind);
   std::lock_guard<std::mutex> lock(mu_);
+  if (compacted_) throw std::runtime_error("spill: section added after compaction");
   rows_[kind] += ref.rows;
   sections_[kind].push_back(ref);
   manifest_->section(ref);
@@ -189,6 +219,22 @@ void SpillDir::write_checkpoint(const ManifestCheckpoint& ckpt) {
   }
   manifest_->checkpoint(ckpt);
   manifest_->sync();
+}
+
+void SpillDir::commit_compaction(const ManifestCompaction& compaction) {
+  std::lock_guard<std::mutex> lock(mu_);
+  manifest_->compacted(compaction);
+  manifest_->sync();
+  // The record is durable: the columns hold every row, and a crash from
+  // here on resumes from them (recovery unlinks whatever is left below).
+  compacted_ = true;
+  for (const auto& log : logs_) log->close();
+  for (const std::string& name : file_names_) {
+    std::error_code ec;
+    std::filesystem::remove(config_.dir + "/" + name, ec);
+    if (ec) throw std::runtime_error("spill: cannot unlink " + name + ": " + ec.message());
+  }
+  for (auto& kind_sections : sections_) std::vector<SectionRef>().swap(kind_sections);
 }
 
 std::uint64_t SpillDir::total_rows() const {
@@ -439,7 +485,7 @@ template <typename T>
 SectionRef MergeIntoScratch(SpillDir& dir, const std::vector<SectionRef>& streams,
                             std::size_t begin, std::size_t end, std::uint32_t group,
                             std::uint32_t level) {
-  SegmentLog& scratch = dir.scratch_log();
+  SegmentLog& scratch = dir.scratch_log(kRecordIndexOf<T>);
   scratch.begin_section(static_cast<std::uint32_t>(kRecordIndexOf<T>), group, level);
   std::uint64_t rows = 0;
   BinWriter chunk;
@@ -507,25 +553,16 @@ void ForEachSpilledRow(SpillDir& dir, const std::function<void(const T&)>& fn) {
   constexpr std::size_t kKind = kRecordIndexOf<T>;
   std::vector<SectionRef> streams = dir.sections_of_kind(kKind);
   if (streams.empty()) return;
+  dir.count_merge_pass(kKind);
   const std::size_t fan_in = dir.config().merge_fan_in < 2 ? 2 : dir.config().merge_fan_in;
 
   // Every registered section was flushed to the OS before it was
   // registered (SegmentLog::end_section), and committed bytes never move,
-  // so a kind that fits one merge reads its sections without any lock.
-  // A larger kind reduces into the shared scratch log under the merge lock
-  // — once: the plan is cached until the kind's section count changes. The
-  // final merge reads immutable bytes through private cursors, so the
-  // parallel summary, export and snapshot passes stream kinds concurrently.
+  // so merges read them through private cursors while other kinds stream
+  // concurrently; a kind with more sections than one merge opens first
+  // reduces the excess into its own scratch log.
   std::sort(streams.begin(), streams.end(), StreamOrder);
-  if (streams.size() > fan_in) {
-    std::lock_guard<std::mutex> lock(dir.merge_mutex());
-    SpillDir::ReducedStreams& reduced = dir.reduced_streams(kKind);
-    if (reduced.sections != streams.size()) {
-      reduced.streams = ReduceToFanIn<T>(dir, streams, fan_in);
-      reduced.sections = streams.size();  // only once the reduce succeeded
-    }
-    streams = reduced.streams;
-  }
+  if (streams.size() > fan_in) streams = ReduceToFanIn<T>(dir, std::move(streams), fan_in);
   MergeGroup<T>(dir, streams, 0, streams.size(), fn);
 }
 

@@ -24,12 +24,11 @@
 // 10k homes one extra level suffices and rewrites only the excess: 76 of
 // 331 wifi_scan sections, not the whole kind.
 //
-// Reduce once: the SpillDir keeps each kind's reduced stream list, keyed
-// by the section count it was planned from. Later passes (summary, export,
-// snapshot) go straight to the final merge; a changed count — more
-// sections registered, or a resumed directory — re-plans. Scratch
-// sections carry the same CRC frames as worker sections and are re-verified
-// on every read.
+// Merge once: ForEachSpilledRow's one caller in the program is the
+// compaction pass (collect/kind_pipes.h), which streams every kind exactly
+// once into the run's column files and then retires the segments. Scratch sections carry
+// the same CRC frames as worker sections and are re-verified on read;
+// merge_passes() counts the passes per kind.
 //
 // The merge itself is a loser tree over the open cursors: each cursor
 // decodes its head row and SortKey in place into its own slot, a step
@@ -37,7 +36,7 @@
 // lower canonical stream position. No row is copied per step.
 //
 // Memory: a quarter of the budget is for streaming kinds back. Up to
-// `workers` kinds stream at once (the finalize passes run one pipe per
+// `workers` kinds stream at once (the compaction pass runs one pipe per
 // kind, core/pipe.h), and each gets an equal share: an eighth of it is the
 // ring of the kind's pipe (SpillConfig::pipe_ring_bytes), the rest is the
 // read-ahead of at most `merge_fan_in` cursors
@@ -51,12 +50,22 @@
 // injectable core::Io seam. One cursor reads sections back: it re-verifies
 // the frame and CRC on every merge pass and fails closed on any mismatch,
 // and recovery's VerifySection is that same cursor draining the body.
+//
+// Lifetime (DESIGN §12): a fresh SpillDir unlinks whatever an earlier run
+// left in the directory — never truncates it, because a snapshot may hold
+// hard links to earlier column files. Once the compaction pass has made
+// the column files and their meta durable, commit_compaction() appends the
+// manifest's compacted record, fsyncs it, and only then unlinks every
+// segment and scratch log. From then on the directory holds the manifest
+// and the columns, checkpoints fsync the manifest alone, and no section
+// may be added.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -72,6 +81,7 @@ struct HomeInfo;
 class ManifestWriter;
 struct ManifestConfig;
 struct ManifestCheckpoint;
+struct ManifestCompaction;
 struct SpillRecovery;
 
 struct SpillConfig {
@@ -129,7 +139,7 @@ struct SectionRef {
 };
 
 /// An append-only segment file. Owned exclusively by one worker while its
-/// shard task runs (or by the merge scratch path, serialised by SpillDir).
+/// shard task runs, or by one kind's merge (its scratch log).
 /// Section bodies are AppendSpillRow payloads (u32 length + EncodeRow) so
 /// cursors can frame rows without schema-dependent sizes. Every write goes
 /// through the checked core::Io seam; any I/O failure throws with the path
@@ -159,6 +169,8 @@ class SegmentLog {
   void flush();
   /// flush + fsync: checkpoint durability.
   void sync();
+  /// flush + close; a later append reopens (and truncates) the file.
+  void close();
 
  private:
   void ensure_open();
@@ -175,16 +187,20 @@ class SegmentLog {
   core::CheckedFile out_;  // opened lazily on first append
 };
 
-/// Shared spill state: the segment directory, one log per worker plus a
-/// scratch log for merge intermediates, the per-kind section tables, and
+/// Shared spill state: the segment directory, one log per worker plus one
+/// scratch log per kind for merge intermediates, the per-kind section tables, and
 /// the write-ahead manifest. A resumed run layers a new *generation* of
 /// segment files over the recovered ones; the file table spans both.
 class SpillDir {
  public:
+  /// Fresh construction: unlink every file an earlier run left in the
+  /// directory (manifest, segments, column files, meta, temporaries), then
+  /// start a new manifest.
   explicit SpillDir(SpillConfig config);
   /// Resume construction: adopt a recovered directory's file table and
-  /// committed sections, open generation `recovered.config.generation + 1`
-  /// logs alongside them, and append to the (already truncated) manifest.
+  /// committed sections (or, once compacted, its per-kind row counts),
+  /// open generation `recovered.config.generation + 1` logs alongside
+  /// them, and append to the (already truncated) manifest.
   SpillDir(SpillConfig config, const SpillRecovery& recovered);
   ~SpillDir();
 
@@ -193,8 +209,11 @@ class SpillDir {
 
   /// The worker's exclusive segment log (no locking: one worker, one log).
   SegmentLog& log_for_worker(std::size_t worker);
-  /// The merge-scratch log. Callers must hold merge_mutex().
-  SegmentLog& scratch_log() { return *logs_.back(); }
+  /// The kind's merge-scratch log (its file is created on first use). Only
+  /// that kind's merge writes it, so kinds reduce concurrently.
+  SegmentLog& scratch_log(std::size_t kind) {
+    return *logs_[logs_.size() - kRecordKinds + kind];
+  }
   /// Absolute path of a file-table entry (any generation).
   [[nodiscard]] std::string file_path(std::uint32_t file_index) const;
 
@@ -208,9 +227,17 @@ class SpillDir {
   /// Commit a completed shard: its homes become recoverable and every
   /// section it registered becomes eligible for resume.
   void record_shard_done(std::uint32_t shard, const std::vector<HomeInfo>& homes);
-  /// Durability barrier: fsync every segment log and the manifest, then
-  /// append the checkpoint record.
+  /// Durability barrier: fsync every open segment log and the manifest,
+  /// then append the checkpoint record. Once compacted no log is open, so
+  /// this fsyncs the manifest alone.
   void write_checkpoint(const ManifestCheckpoint& ckpt);
+
+  /// The compaction pass's last step. The column files and their meta
+  /// must already be durable (files and directory fsynced): append the
+  /// compacted record, fsync the manifest, then close and unlink every
+  /// segment and scratch log and forget their sections. Throws on I/O
+  /// failure; the segments stay until the record is durable.
+  void commit_compaction(const ManifestCompaction& compaction);
 
   [[nodiscard]] std::uint64_t rows_of_kind(std::size_t kind) const { return rows_[kind]; }
   [[nodiscard]] std::uint64_t total_rows() const;
@@ -220,17 +247,14 @@ class SpillDir {
   [[nodiscard]] std::uint64_t sections_written() const;
   [[nodiscard]] std::uint64_t bytes_spilled() const;
 
-  /// Serialises merge passes (they share the scratch log).
-  [[nodiscard]] std::mutex& merge_mutex() { return merge_mu_; }
-
-  /// Reduce-once cache: the streams a kind's final merge reads, and the
-  /// section count they were planned from. A different count means the
-  /// plan is stale. Callers must hold merge_mutex().
-  struct ReducedStreams {
-    std::size_t sections{0};
-    std::vector<SectionRef> streams;
-  };
-  [[nodiscard]] ReducedStreams& reduced_streams(std::size_t kind) { return reduced_[kind]; }
+  /// ForEachSpilledRow passes over `kind` so far: 1 for every kind with
+  /// rows once the compaction pass ran, 0 on a resumed compacted dir.
+  [[nodiscard]] std::uint64_t merge_passes(std::size_t kind) const {
+    return merge_passes_[kind].load(std::memory_order_relaxed);
+  }
+  void count_merge_pass(std::size_t kind) {
+    merge_passes_[kind].fetch_add(1, std::memory_order_relaxed);
+  }
 
   /// Flush every log's buffered writes so cursors see all appended rows.
   void flush_all();
@@ -241,22 +265,22 @@ class SpillDir {
   SpillConfig config_;
   std::uint32_t generation_{0};
   std::vector<std::string> file_names_;            // file table, all generations
-  std::vector<std::unique_ptr<SegmentLog>> logs_;  // this generation: workers, then scratch
+  std::vector<std::unique_ptr<SegmentLog>> logs_;  // this generation: workers, then scratch per kind
   std::unique_ptr<ManifestWriter> manifest_;
   std::array<std::vector<SectionRef>, kRecordKinds> sections_;
   std::array<std::uint64_t, kRecordKinds> rows_{};
-  std::array<ReducedStreams, kRecordKinds> reduced_;  // guarded by merge_mu_
+  std::array<std::atomic<std::uint64_t>, kRecordKinds> merge_passes_{};
+  bool compacted_{false};
   mutable std::mutex mu_;
-  std::mutex merge_mu_;
 };
 
 /// Stream every row of kind T in canonical repository order — exactly the
 /// sequence `rows<T>()` holds after `finalize_deterministic_order()` on the
 /// in-RAM path. Bounded memory: at most `merge_fan_in` open sections per
-/// merge, each with a cursor_buffer_bytes() read-ahead. The first pass over
-/// a kind with more sections reduces its excess into scratch once; later
-/// passes reuse that. Throws with a precise diagnostic if any section
-/// fails its CRC or framing check.
+/// merge, each with a cursor_buffer_bytes() read-ahead; a kind with more
+/// sections first reduces its excess into scratch. Counts one merge pass.
+/// Throws with a precise diagnostic if any section fails its CRC or
+/// framing check. The compaction pass is the only caller.
 template <typename T>
 void ForEachSpilledRow(SpillDir& dir, const std::function<void(const T&)>& fn);
 

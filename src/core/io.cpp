@@ -73,6 +73,7 @@ class FaultyIo final : public Io {
         }
         break;
       case IoFaultPlan::Kind::kFsyncFail:
+      case IoFaultPlan::Kind::kLinkFail:
       case IoFaultPlan::Kind::kNone:
         break;
     }
@@ -93,6 +94,20 @@ class FaultyIo final : public Io {
     return Io::sync(fd, path, error);
   }
 
+  bool link(const std::string& from, const std::string& to, std::string* error) override {
+    FaultState& s = State();
+    if (!Matches(to)) return Io::link(from, to, error);
+    const std::uint64_t op = s.ops.fetch_add(1, std::memory_order_relaxed) + 1;
+    const std::uint64_t total = s.bytes.load(std::memory_order_relaxed);
+    if (s.plan.kind == IoFaultPlan::Kind::kLinkFail && Armed(op, total)) {
+      s.fired.fetch_add(1, std::memory_order_relaxed);
+      if (error != nullptr) *error = Errno(to, "link (injected)", EXDEV);
+      return false;
+    }
+    if (s.plan.kind == IoFaultPlan::Kind::kKill && Armed(op, total)) std::_Exit(137);
+    return Io::link(from, to, error);
+  }
+
  private:
   static bool Matches(const std::string& path) {
     const IoFaultPlan& plan = State().plan;
@@ -106,7 +121,8 @@ class FaultyIo final : public Io {
     const bool hit = (s.plan.at_op != 0 && op >= s.plan.at_op) ||
                      (s.plan.at_bytes != 0 && total_bytes >= s.plan.at_bytes);
     if (hit && (s.plan.kind == IoFaultPlan::Kind::kEnospc ||
-                s.plan.kind == IoFaultPlan::Kind::kFsyncFail)) {
+                s.plan.kind == IoFaultPlan::Kind::kFsyncFail ||
+                s.plan.kind == IoFaultPlan::Kind::kLinkFail)) {
       s.sticky_tripped.store(true, std::memory_order_relaxed);
     }
     return hit;
@@ -165,6 +181,28 @@ void Io::close(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
+bool Io::sync_dir(const std::string& dir, std::string* error) {
+  int fd = -1;
+  do {
+    fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) {
+    if (error != nullptr) *error = Errno(dir, "open", errno);
+    return false;
+  }
+  const bool ok = sync(fd, dir, error);
+  ::close(fd);
+  return ok;
+}
+
+bool Io::link(const std::string& from, const std::string& to, std::string* error) {
+  if (::link(from.c_str(), to.c_str()) != 0) {
+    if (error != nullptr) *error = Errno(to, "link", errno);
+    return false;
+  }
+  return true;
+}
+
 Io& Io::Active() {
   Io* io = g_active.load(std::memory_order_acquire);
   return io != nullptr ? *io : Real();
@@ -203,7 +241,7 @@ bool ParseIoFaultSpec(const std::string& spec, IoFaultPlan* plan, std::string* e
     if (error != nullptr) {
       *error = "bad I/O fault spec \"" + spec + "\": " + why +
                " (expected KIND@writes=N|bytes=N[:path=SUBSTR], KIND one of "
-               "enospc|shortwrite|fsyncfail|kill)";
+               "enospc|shortwrite|fsyncfail|linkfail|kill)";
     }
     return false;
   };
@@ -217,6 +255,8 @@ bool ParseIoFaultSpec(const std::string& spec, IoFaultPlan* plan, std::string* e
     out.kind = IoFaultPlan::Kind::kShortWrite;
   } else if (kind == "fsyncfail") {
     out.kind = IoFaultPlan::Kind::kFsyncFail;
+  } else if (kind == "linkfail") {
+    out.kind = IoFaultPlan::Kind::kLinkFail;
   } else if (kind == "kill") {
     out.kind = IoFaultPlan::Kind::kKill;
   } else {

@@ -1,12 +1,14 @@
 // Injectable write-side I/O seam (DESIGN §12).
 //
 // Every durable byte the fleet substrate writes — segment sections, the
-// spill manifest, snapshots — goes through `Io::Active()`. In production
-// that is a thin wrapper over open/write/fsync/close; under test a fault
-// plan wraps it to inject the failures a real fleet hits: ENOSPC, torn
-// (short) writes, fsync failure, and kill -9 mid-write. The seam exists so
-// those failures exercise the *real* commit protocol and recovery code, not
-// mocks of them.
+// spill manifest, snapshots — goes through `Io::Active()`, and so do the
+// directory fsyncs that make new entries durable and the hard links that
+// put compacted column files into a snapshot. In production that is a thin
+// wrapper over open/write/fsync/link/close; under test a fault plan wraps
+// it to inject the failures a real fleet hits: ENOSPC, torn (short)
+// writes, fsync failure, a filesystem without hard links, and kill -9
+// mid-write. The seam exists so those failures exercise the *real* commit
+// protocol and recovery code, not mocks of them.
 //
 // Fault plans can be installed programmatically (InstallIoFaultPlan) or via
 // the environment, which is how the CI chaos job drives an unmodified
@@ -15,13 +17,15 @@
 //   BISMARK_IO_FAULT="kill@writes=40:path=.bsmkseg"  bismark_study run ...
 //
 // Spec grammar: KIND@TRIGGER[:path=SUBSTR]
-//   KIND    = enospc | shortwrite | fsyncfail | kill
-//   TRIGGER = writes=N (fire on the Nth matching write/fsync op, 1-based)
+//   KIND    = enospc | shortwrite | fsyncfail | linkfail | kill
+//   TRIGGER = writes=N (fire on the Nth matching write/fsync/link op,
+//                       1-based; a directory fsync is an fsync op)
 //           | bytes=N  (fire on the op that crosses N cumulative bytes)
 //   SUBSTR  = only paths containing SUBSTR are faulted (default: all)
 //
-// enospc and fsyncfail are sticky — once triggered, every later matching op
-// fails, like a genuinely full or broken disk. shortwrite fires once: it
+// enospc, fsyncfail and linkfail are sticky — once triggered, every later
+// matching op fails, like a genuinely full or broken disk, or a filesystem
+// that cannot hard-link (link ops match on the new name). shortwrite fires once: it
 // writes half the requested bytes and *reports success*, the torn write a
 // crash between write() and durability produces; readers must catch it by
 // CRC, never by return code. kill writes half the bytes and _Exit(137)s the
@@ -36,7 +40,7 @@
 namespace bismark::core {
 
 struct IoFaultPlan {
-  enum class Kind : std::uint8_t { kNone, kEnospc, kShortWrite, kFsyncFail, kKill };
+  enum class Kind : std::uint8_t { kNone, kEnospc, kShortWrite, kFsyncFail, kLinkFail, kKill };
   Kind kind{Kind::kNone};
   /// Fire on the Nth matching write/fsync op (1-based). 0 = not call-triggered.
   std::uint64_t at_op{0};
@@ -65,6 +69,11 @@ class Io {
                      std::string* error);
   virtual bool sync(int fd, const std::string& path, std::string* error);
   virtual void close(int fd);
+  /// fsync the directory `dir`, so the entries created, renamed or removed
+  /// in it survive a power loss. One sync() op on `dir`.
+  bool sync_dir(const std::string& dir, std::string* error);
+  /// Hard-link `from` to the new name `to`.
+  virtual bool link(const std::string& from, const std::string& to, std::string* error);
 
   /// The active implementation: the real one, or a fault wrapper when a
   /// plan is installed.

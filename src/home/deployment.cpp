@@ -747,6 +747,19 @@ void Deployment::run() {
   }
 }
 
+obs::MetricsSnapshot Deployment::metrics() const {
+  obs::MetricsSnapshot out = metrics_;
+  if (const collect::SpillDir* spill = repo_->spill()) {
+    for (std::size_t kind = 0; kind < collect::kRecordKinds; ++kind) {
+      if (spill->rows_of_kind(kind) == 0) continue;
+      out.counters["bismark_spill_merge_passes_total{kind=\"" +
+                   std::string(collect::RecordKindName(kind)) + "\"}"] =
+          spill->merge_passes(kind);
+    }
+  }
+  return out;
+}
+
 std::string Deployment::recovered_fleet_summary_blob() const {
   if (!recovery_ || !recovery_->has_checkpoint) return {};
   const std::size_t shards = shard_count();

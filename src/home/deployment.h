@@ -206,8 +206,12 @@ class Deployment {
   [[nodiscard]] const net::FaultPlan& fault_plan() const { return fault_plan_; }
 
   /// Merged metrics of the last run(): per-shard registries combined in
-  /// canonical name order — byte-identical for any worker count.
-  [[nodiscard]] const obs::MetricsSnapshot& metrics() const { return metrics_; }
+  /// canonical name order — byte-identical for any worker count. A fleet
+  /// run adds its spill merge passes per kind so far,
+  /// `bismark_spill_merge_passes_total{kind="..."}`: 1 per kind with rows
+  /// once the repository was compacted, 0 before and on a resumed
+  /// compacted directory.
+  [[nodiscard]] obs::MetricsSnapshot metrics() const;
   /// Wall-clock/scheduling telemetry of the last run() (volatile).
   [[nodiscard]] const RunTelemetry& telemetry() const { return telemetry_; }
   /// Shard count the roster partitions into (fixed by the roster, not by

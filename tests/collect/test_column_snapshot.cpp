@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -146,6 +147,30 @@ void ExpectSameRepo(const DataRepository& expected, const DataRepository& actual
   for (std::size_t i = 0; i < expected.homes().size(); ++i) {
     EXPECT_EQ(expected.homes()[i], actual.homes()[i]);
   }
+}
+
+// The directory fsync after the meta is the save's last I/O op: an fsync
+// failure there must fail the save, or "a directory with a valid meta is
+// complete" would not survive a power loss.
+TEST_F(ColumnSnapshotTest, DirectorySyncFailureFailsTheSave) {
+  DataRepository repo(WideWindows());
+  Populate(repo);
+  const std::string dir = snap_dir("dirsync");
+  core::IoFaultPlan plan;
+  plan.kind = core::IoFaultPlan::Kind::kFsyncFail;
+  plan.at_op = std::numeric_limits<std::uint64_t>::max();  // count only
+  plan.path_substr = dir;
+  core::InstallIoFaultPlan(plan);
+  std::string error;
+  ASSERT_TRUE(SaveColumnSnapshot(repo, dir, &error)) << error;
+  plan.at_op = core::CurrentIoFaultStats().ops;
+  core::InstallIoFaultPlan(plan);
+  const bool saved = SaveColumnSnapshot(repo, dir, &error);
+  const std::uint64_t fired = core::CurrentIoFaultStats().faults_fired;
+  core::ClearIoFaults();
+  EXPECT_FALSE(saved);
+  EXPECT_EQ(fired, 1u);
+  EXPECT_NE(error.find(dir + ": fsync (injected) failed"), std::string::npos) << error;
 }
 
 TEST_F(ColumnSnapshotTest, RoundTripReproducesEveryDatasetExactly) {

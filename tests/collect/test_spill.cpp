@@ -2,13 +2,15 @@
 // files must reproduce the in-RAM canonical row order and export bytes
 // exactly — including SortKey ties, multi-section merges from a tiny flush
 // threshold, commits arriving in arbitrary shard order, and merge plans
-// that need zero, one or several reduce levels.
+// that need zero, one or several reduce levels. The first read compacts
+// the segments into columns; every later read scans those.
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -19,7 +21,9 @@
 #include "analysis/fleet.h"
 #include "collect/column_snapshot.h"
 #include "collect/export.h"
+#include "collect/manifest.h"
 #include "collect/repository.h"
+#include "core/io.h"
 #include "core/rng.h"
 #include "core/stats.h"
 
@@ -230,8 +234,9 @@ TEST(SpillRoundTrip, RepeatedStreamingReadsAreStable) {
   const auto dir = FreshSpillDir("reread");
   const auto spilled = BuildSpilled(w, dir);
 
-  // for_each_row merges scratch sections lazily; a second pass must see
-  // the identical sequence (reads are logically const).
+  // The first for_each_row compacts the segments into columns; a second
+  // pass, over those columns, must see the identical sequence (reads are
+  // logically const).
   std::vector<WifiScanRecord> first, second;
   spilled->for_each_row<WifiScanRecord>([&](const WifiScanRecord& r) { first.push_back(r); });
   spilled->for_each_row<WifiScanRecord>([&](const WifiScanRecord& r) { second.push_back(r); });
@@ -275,20 +280,28 @@ TEST_P(SpillMergePlan, ReducesEachKindOnce) {
   const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
   const auto dir = FreshSpillDir("plan-once");
   const auto spilled = BuildSpilled(w, dir, GetParam());
-  const SegmentLog& scratch = spilled->spill()->scratch_log();
+  constexpr std::size_t kWifi = kRecordIndexOf<WifiScanRecord>;
+  const SegmentLog& scratch = spilled->spill()->scratch_log(kWifi);
+  const bool reduces = spilled->spill()->sections_of_kind(kWifi).size() > GetParam();
 
+  // The first read compacts: every kind is merged once, into columns.
   const std::uint64_t rows = ReadAllKinds(*spilled);
   EXPECT_EQ(rows, spilled->total_rows());
   const std::uint64_t after_first = scratch.bytes_written();
-  if (spilled->spill()->sections_of_kind(kRecordIndexOf<WifiScanRecord>).size() >
-      GetParam()) {
+  if (reduces) {
     EXPECT_GT(after_first, 0u);  // the reduce ran
   }
-  // Later passes reuse the reduced streams: no scratch byte is written.
+  // Later reads scan the columns: no scratch byte, no merge pass.
   EXPECT_EQ(ReadAllKinds(*spilled), rows);
   EXPECT_EQ(scratch.bytes_written(), after_first);
   EXPECT_EQ(ReadAllKinds(*spilled), rows);
   EXPECT_EQ(scratch.bytes_written(), after_first);
+  ForEachRecordType([&](auto tag) {
+    using T = typename decltype(tag)::type;
+    EXPECT_EQ(spilled->spill()->merge_passes(kRecordIndexOf<T>),
+              spilled->row_count<T>() > 0 ? 1u : 0u)
+        << Schema<T>::kKindName;
+  });
 
   std::filesystem::remove_all(dir);
 }
@@ -306,13 +319,15 @@ TEST(SpillMergeLevels, OneExtraLevelStaysWithinTheKindsBytes) {
   // a single reduce level reaches the fan-in.
   ASSERT_GT(sections, kFanIn);
   ASSERT_LE(sections, kFanIn * kFanIn);
+  // Taken before the read: compaction unlinks the segments.
+  const std::uint64_t segment_bytes = KindSegmentBytes(*spilled->spill(), kWifi);
 
   std::uint64_t rows = 0;
   spilled->for_each_row<WifiScanRecord>([&rows](const WifiScanRecord&) { ++rows; });
   EXPECT_EQ(rows, spilled->row_count<WifiScanRecord>());
-  const std::uint64_t scratch = spilled->spill()->scratch_log().bytes_written();
+  const std::uint64_t scratch = spilled->spill()->scratch_log(kWifi).bytes_written();
   EXPECT_GT(scratch, 0u);
-  EXPECT_LE(scratch, KindSegmentBytes(*spilled->spill(), kWifi));
+  EXPECT_LE(scratch, segment_bytes);
 
   std::filesystem::remove_all(dir);
 }
@@ -340,28 +355,94 @@ TEST(SpillMergeLevels, OneExtraLevelRewritesOnlyTheExcess) {
   std::uint64_t rows = 0;
   spilled->for_each_row<WifiScanRecord>([&rows](const WifiScanRecord&) { ++rows; });
   EXPECT_EQ(rows, spilled->row_count<WifiScanRecord>());
-  EXPECT_EQ(spilled->spill()->scratch_log().bytes_written(),
+  EXPECT_EQ(spilled->spill()->scratch_log(kWifi).bytes_written(),
             refs[0].bytes + refs[1].bytes + kFrameHeaderBytes + kFrameFooterBytes);
 
   std::filesystem::remove_all(dir);
 }
 
-TEST(SpillMergeLevels, ReplansWhenTheSectionCountChanges) {
+// Concurrent first reads: the parallel export's kinds all ask for the
+// columns at once; one compacts, the others wait, and every kind is
+// merged once.
+TEST(SpillCompaction, ParallelExportCompactsOnce) {
   const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
-  const auto dir = FreshSpillDir("plan-replan");
+  const auto dir = FreshSpillDir("parallel-export");
   const auto ram = BuildInRam(w);
-  // Shard 0 arrives after a first read has cached the reduced streams.
-  const auto spilled = BuildSpilled(w, dir, 3, 2, /*skip_shards=*/1);
-  std::uint64_t partial = 0;
-  spilled->for_each_row<WifiScanRecord>([&partial](const WifiScanRecord&) { ++partial; });
-  const std::uint64_t scratch_before = spilled->spill()->scratch_log().bytes_written();
-  CommitShard(*spilled, w, 0);
-  spilled->finalize_deterministic_order();
+  const auto spilled = BuildSpilled(w, dir, 3, 4);
+  const auto want = dir.string() + "-want";
+  const auto got = dir.string() + "-got";
+  EXPECT_EQ(ExportAllDatasets(*spilled, got, 4), ExportAllDatasets(*ram, want, 1));
+  for (const auto& entry : std::filesystem::directory_iterator(want)) {
+    std::ifstream a(entry.path(), std::ios::binary);
+    std::ifstream b(got + "/" + entry.path().filename().string(), std::ios::binary);
+    std::ostringstream want_bytes, got_bytes;
+    want_bytes << a.rdbuf();
+    got_bytes << b.rdbuf();
+    EXPECT_EQ(got_bytes.str(), want_bytes.str()) << entry.path().filename();
+  }
+  ForEachRecordType([&](auto tag) {
+    using T = typename decltype(tag)::type;
+    EXPECT_EQ(spilled->spill()->merge_passes(kRecordIndexOf<T>),
+              spilled->row_count<T>() > 0 ? 1u : 0u)
+        << Schema<T>::kKindName;
+  });
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(want);
+  std::filesystem::remove_all(got);
+}
 
-  ExpectSameRows<WifiScanRecord>(*ram, *spilled);
-  EXPECT_LT(partial, spilled->row_count<WifiScanRecord>());
-  EXPECT_GT(spilled->spill()->scratch_log().bytes_written(), scratch_before);
+// The directory fsync comes before the compacted record: if it fails, the
+// compaction fails, the manifest holds no record, the segments stay, and
+// the next read compacts again.
+TEST(SpillCompaction, DirectorySyncFailureLeavesTheSegments) {
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  // Count the compaction's ops on the spill dir; its last three are the
+  // directory fsync and the record's write and fsync.
+  const auto dry = FreshSpillDir("dirsync-dry");
+  core::IoFaultPlan plan;
+  plan.kind = core::IoFaultPlan::Kind::kFsyncFail;
+  plan.at_op = std::numeric_limits<std::uint64_t>::max();
+  plan.path_substr = "bsmk-test-spill-dirsync-";
+  {
+    const auto counted = BuildSpilled(w, dry);
+    core::InstallIoFaultPlan(plan);
+    ASSERT_NO_THROW((void)counted->columns());
+    plan.at_op = core::CurrentIoFaultStats().ops - 2;
+    core::ClearIoFaults();
+  }
+  std::filesystem::remove_all(dry);
 
+  const auto dir = FreshSpillDir("dirsync-fail");
+  const auto spilled = BuildSpilled(w, dir);
+  core::InstallIoFaultPlan(plan);
+  EXPECT_THROW((void)spilled->columns(), std::runtime_error);
+  const std::uint64_t fired = core::CurrentIoFaultStats().faults_fired;
+  core::ClearIoFaults();
+  EXPECT_EQ(fired, 1u);
+  EXPECT_FALSE(spilled->column_backed());
+  SpillRecovery rec;
+  std::string error;
+  ASSERT_TRUE(RecoverSpillDir(dir.string(), &rec, &error)) << error;
+  EXPECT_FALSE(rec.compacted);
+  EXPECT_TRUE(std::filesystem::exists(dir / "seg-g0-w0.bsmkseg"));
+
+  const auto ram = BuildInRam(w);
+  ExpectEveryKindMatches(*ram, *spilled);
+  EXPECT_TRUE(spilled->column_backed());
+  std::filesystem::remove_all(dir);
+}
+
+// The first read compacts: every committed row is in the columns and the
+// segments are gone, so a section arriving after it is refused.
+TEST(SpillCompaction, SectionsAfterTheFirstReadAreRefused) {
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  const auto dir = FreshSpillDir("late-section");
+  const auto spilled = BuildSpilled(w, dir, 256, 2, /*skip_shards=*/1);
+  std::uint64_t rows = 0;
+  spilled->for_each_row<WifiScanRecord>([&rows](const WifiScanRecord&) { ++rows; });
+  EXPECT_EQ(rows, spilled->row_count<WifiScanRecord>());
+  EXPECT_TRUE(spilled->column_backed());
+  EXPECT_THROW(CommitShard(*spilled, w, 0), std::runtime_error);
   std::filesystem::remove_all(dir);
 }
 

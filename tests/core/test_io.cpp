@@ -57,6 +57,9 @@ TEST(IoFaultSpec, ParsesEveryKindAndTrigger) {
   ASSERT_TRUE(ParseIoFaultSpec("fsyncfail@writes=1", &plan, &error));
   EXPECT_EQ(plan.kind, IoFaultPlan::Kind::kFsyncFail);
 
+  ASSERT_TRUE(ParseIoFaultSpec("linkfail@writes=1:path=.bsmkcol", &plan, &error));
+  EXPECT_EQ(plan.kind, IoFaultPlan::Kind::kLinkFail);
+
   ASSERT_TRUE(ParseIoFaultSpec("kill@writes=40:path=manifest", &plan, &error));
   EXPECT_EQ(plan.kind, IoFaultPlan::Kind::kKill);
   EXPECT_EQ(plan.path_substr, "manifest");
@@ -128,6 +131,41 @@ TEST_F(IoFaultTest, FsyncFailSurfacesThroughSync) {
   ASSERT_TRUE(f.write("durable?"));
   EXPECT_FALSE(f.sync());
   EXPECT_NE(f.error().find("fsync"), std::string::npos) << f.error();
+}
+
+TEST_F(IoFaultTest, FsyncFailSurfacesThroughDirectorySync) {
+  std::string error;
+  ASSERT_TRUE(Io::Active().sync_dir(dir_.string(), &error)) << error;
+  InstallIoFaultPlan([] {
+    IoFaultPlan p;
+    p.kind = IoFaultPlan::Kind::kFsyncFail;
+    p.at_op = 1;
+    return p;
+  }());
+  EXPECT_FALSE(Io::Active().sync_dir(dir_.string(), &error));
+  EXPECT_NE(error.find(dir_.string() + ": fsync (injected) failed"), std::string::npos)
+      << error;
+  EXPECT_EQ(CurrentIoFaultStats().faults_fired, 1u);
+}
+
+TEST_F(IoFaultTest, LinkFailIsStickyAndMatchesTheNewName) {
+  CheckedFile f;
+  ASSERT_TRUE(f.open(path("src.bin")));
+  ASSERT_TRUE(f.write("linked") && f.close());
+  InstallIoFaultPlan([] {
+    IoFaultPlan p;
+    p.kind = IoFaultPlan::Kind::kLinkFail;
+    p.at_op = 1;
+    p.path_substr = ".lnk";
+    return p;
+  }());
+  std::string error;
+  ASSERT_TRUE(Io::Active().link(path("src.bin"), path("plain"), &error)) << error;
+  EXPECT_FALSE(Io::Active().link(path("src.bin"), path("a.lnk"), &error));
+  EXPECT_NE(error.find("link (injected)"), std::string::npos) << error;
+  EXPECT_FALSE(Io::Active().link(path("src.bin"), path("b.lnk"), &error));
+  EXPECT_FALSE(fs::exists(path("a.lnk")) || fs::exists(path("b.lnk")));
+  EXPECT_EQ(SizeOf(path("plain")), 6u);
 }
 
 TEST_F(IoFaultTest, PathFilterScopesTheFault) {

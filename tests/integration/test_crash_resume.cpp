@@ -7,7 +7,11 @@
 // The kill is real: the child process installs a kill fault plan, runs the
 // study, and std::_Exit(137)s mid-write with no flushing and no destructors
 // — exactly what `kill -9` leaves behind. The parent then recovers the
-// directory in-process.
+// directory in-process. Kill points cover the sharded run and the
+// compaction that the first read of a finished run performs: mid-write of
+// a column file (resume redoes only the compaction) and after the
+// compacted record but before the segments are unlinked (resume redoes
+// nothing).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -16,6 +20,9 @@
 #include <sstream>
 #include <string>
 
+#include <limits>
+
+#include "analysis/fleet.h"
 #include "collect/export.h"
 #include "collect/manifest.h"
 #include "core/io.h"
@@ -112,6 +119,38 @@ class CrashResumeTest : public ::testing::Test {
     return ExportAllCsv(keep->repository());
   }
 
+  /// Run the study and compact it (the fleet summary is its first read)
+  /// in a forked child with a kill fault armed on the `at`th op on a path
+  /// containing `path`. Returns the child's exit code, as RunAndKill.
+  static int CompactAndKill(int workers, const std::string& spill_dir, const char* path,
+                            std::uint64_t at) {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      core::IoFaultPlan plan;
+      plan.kind = core::IoFaultPlan::Kind::kKill;
+      plan.at_op = at;
+      plan.path_substr = path;
+      core::InstallIoFaultPlan(plan);
+      try {
+        (void)analysis::SummarizeFleet(
+            Deployment::RunStudy(FleetStudy(workers, spill_dir))->repository());
+      } catch (...) {
+        std::_Exit(120);
+      }
+      std::_Exit(0);
+    }
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  static bool HasSegments(const fs::path& dir) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() == ".bsmkseg") return true;
+    }
+    return false;
+  }
+
   static std::string* reference_csv_;
 };
 
@@ -169,6 +208,54 @@ TEST_F(CrashResumeTest, ResumeOfACompletedRunIsANoOpWithSameBytes) {
   ASSERT_NE(dep->recovery(), nullptr);
   EXPECT_EQ(dep->recovery()->shards_dropped, 0u);
   EXPECT_EQ(dep->recovery()->sections_quarantined, 0u);
+  fs::remove_all(dir);
+}
+
+TEST_F(CrashResumeTest, KillMidColumnWriteRedoesOnlyTheCompaction) {
+  const auto dir = FreshDir("colwrite");
+  ASSERT_EQ(CompactAndKill(/*workers=*/2, dir.string(), ".bsmkcol", /*at=*/1), 137);
+  const Deployment* dep = nullptr;
+  EXPECT_EQ(ResumeAndExport(/*workers=*/4, dir.string(), &dep), *reference_csv_);
+  ASSERT_NE(dep->recovery(), nullptr);
+  EXPECT_FALSE(dep->recovery()->compacted);
+  // Every shard was done: nothing re-ran, and the export's first read
+  // compacted the recovered segments again, one merge per kind.
+  EXPECT_EQ(dep->recovery()->done_shards.size(), dep->shard_count());
+  EXPECT_EQ(dep->recovery()->shards_dropped, 0u);
+  for (std::size_t kind = 0; kind < collect::kRecordKinds; ++kind) {
+    const collect::SpillDir& spill = *dep->repository().spill();
+    EXPECT_EQ(spill.merge_passes(kind), spill.rows_of_kind(kind) > 0 ? 1u : 0u) << kind;
+  }
+  EXPECT_FALSE(HasSegments(dir));
+  fs::remove_all(dir);
+}
+
+TEST_F(CrashResumeTest, KillAfterTheCompactedRecordRedoesNothing) {
+  // Count the manifest's write and fsync ops through the compaction: the
+  // last is the fsync of the compacted record, before any unlink.
+  const auto dry = FreshDir("count");
+  core::IoFaultPlan count;
+  count.kind = core::IoFaultPlan::Kind::kKill;
+  count.at_op = std::numeric_limits<std::uint64_t>::max();
+  count.path_substr = "manifest.bsmkman";
+  core::InstallIoFaultPlan(count);
+  (void)analysis::SummarizeFleet(Deployment::RunStudy(FleetStudy(2, dry.string()))->repository());
+  const std::uint64_t ops = core::CurrentIoFaultStats().ops;
+  core::ClearIoFaults();
+  fs::remove_all(dry);
+
+  const auto dir = FreshDir("record");
+  ASSERT_EQ(CompactAndKill(/*workers=*/2, dir.string(), "manifest.bsmkman", ops), 137);
+  ASSERT_TRUE(HasSegments(dir));  // killed before the unlinks
+  const Deployment* dep = nullptr;
+  EXPECT_EQ(ResumeAndExport(/*workers=*/1, dir.string(), &dep), *reference_csv_);
+  ASSERT_NE(dep->recovery(), nullptr);
+  EXPECT_TRUE(dep->recovery()->compacted);
+  EXPECT_EQ(dep->recovery()->done_shards.size(), dep->shard_count());
+  for (std::size_t kind = 0; kind < collect::kRecordKinds; ++kind) {
+    EXPECT_EQ(dep->repository().spill()->merge_passes(kind), 0u) << kind;
+  }
+  EXPECT_FALSE(HasSegments(dir));  // recovery finished the cleanup
   fs::remove_all(dir);
 }
 

@@ -229,7 +229,8 @@ int CmdRun(const ArgParser& args) {
 
   if (options.memory_budget_bytes > 0) {
     // Fleet mode: rows live in spill segments, so the headline
-    // distributions come from one streaming sketch pass per data set (or
+    // distributions come from one streaming sketch pass per data set,
+    // which is also the pass that compacts the segments into columns (or
     // the checkpointed sketches of an already-complete resumed run).
     PrintFleetSummary(*study);
   }
@@ -248,9 +249,9 @@ int CmdRun(const ArgParser& args) {
                 dir->c_str());
   }
   if (const auto path = args.get("snapshot-out")) {
-    // Columnar v3 directory: streamed kind-by-kind through for_each_row, so
-    // this works from spill segments under --memory-budget-mb without ever
-    // materialising the repository in RAM.
+    // Columnar v3 directory: encoded kind by kind from a resident
+    // repository; in fleet mode the compacted column files in the spill
+    // dir are hard-linked (or copied), never re-merged.
     std::string error;
     if (!collect::SaveColumnSnapshot(study->repository(), *path, &error, workers)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
